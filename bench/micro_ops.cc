@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "bench/bench_util.hh"
 #include "cachesim/hierarchy.hh"
@@ -188,8 +189,9 @@ BENCHMARK(BM_BitLevelExtractParallel)->Arg(2)->Arg(4);
 
 /**
  * Wall-clock self-timing of the bit-level scan -- scalar vs SIMD
- * kernels, then serial vs parallel -- at a paper-scale key count;
- * emits BENCH_scan.json.  The scan work performed (and therefore
+ * kernels, then serial vs a forced parallel width vs the default
+ * (work-sized) width -- at a paper-scale key count; emits
+ * BENCH_scan.json.  The scan work performed (and therefore
  * the deterministic stat dump) is identical for every RIME_SIMD and
  * RIME_THREADS setting: both kernel modes are always timed (forced
  * via kernels::setMode), and only the env-dispatched mode's numbers
@@ -211,6 +213,7 @@ runScanSelfTiming()
         std::max(2u, ThreadPool::configuredThreads());
     const unsigned k = 32;
     const int scans = 8;
+    const int rounds = 10;
 
     RimeChip chip(RimeGeometry{}, RimeTimingParams{}, 1);
     chip.configure(k, KeyMode::UnsignedFixed);
@@ -221,17 +224,6 @@ runScanSelfTiming()
         chip.writeValue(i, rng() & 0xFFFFFFFF);
     chip.initRange(0, keys);
 
-    // scan() is pure, so repeated scans perform identical work; one
-    // untimed warm-up per variant populates lazily allocated state.
-    const auto timeScans = [&](ExtractResult &out) {
-        out = chip.scan(0, keys, false);
-        const auto t0 = Clock::now();
-        for (int i = 0; i < scans; ++i)
-            out = chip.scan(0, keys, false);
-        const auto t1 = Clock::now();
-        return std::chrono::duration<double, std::milli>(
-            t1 - t0).count() / scans;
-    };
     const auto same = [](const ExtractResult &a,
                          const ExtractResult &b) {
         return a.found == b.found && a.raw == b.raw &&
@@ -239,54 +231,86 @@ runScanSelfTiming()
             a.time == b.time;
     };
 
-    // The in-process RIME_SIMD A/B: force each kernel mode in turn.
-    // On a host without SIMD kernels both passes run scalar and the
-    // speedup reports ~1.
-    ExtractResult scalar_r, simd_r, parallel_r;
-    kernels::setMode(kernels::Mode::Scalar);
-    const double scalar_ms = timeScans(scalar_r);
-    kernels::setMode(kernels::Mode::Simd);
-    const double simd_ms = timeScans(simd_r);
-    if (!same(scalar_r, simd_r))
+    // The variants: the in-process RIME_SIMD A/B (each kernel mode
+    // forced; on a host without SIMD kernels both run scalar and the
+    // speedup reports ~1), then a forced parallel width and the
+    // default width -- as RimeLibrary and the service run it: one
+    // shard below the fork-join crossover, more above it -- under
+    // the env-dispatched kernels.
+    struct Variant
+    {
+        kernels::Mode mode;
+        unsigned width; ///< hostThreads; 0 = the default width
+        double ms = std::numeric_limits<double>::infinity();
+        ExtractResult r;
+    };
+    const kernels::Mode env_mode = kernels::envMode();
+    Variant scalar{kernels::Mode::Scalar, 1}, simd{kernels::Mode::Simd, 1},
+        parallel{env_mode, parallel_threads}, automatic{env_mode, 0};
+    // Rounds interleave the variants, and each variant reports its
+    // fastest scan: host interference (preemption, a busy neighbour
+    // on a shared machine) then cannot flip an A/B, while a cost every
+    // scan pays -- such as a needless pool fork-join per step -- still
+    // shows.  scan() is pure, so repeated scans perform identical
+    // work; one untimed warm-up scan per variant and round populates
+    // lazily allocated state and re-primes the caches.
+    for (int round = 0; round < rounds; ++round) {
+        for (Variant *v : {&scalar, &simd, &automatic, &parallel}) {
+            kernels::setMode(v->mode);
+            chip.setHostThreads(v->width);
+            v->r = chip.scan(0, keys, false);
+            for (int i = 0; i < scans; ++i) {
+                const auto t0 = Clock::now();
+                v->r = chip.scan(0, keys, false);
+                v->ms = std::min(v->ms, std::chrono::duration<double,
+                    std::milli>(Clock::now() - t0).count());
+            }
+        }
+    }
+    chip.setHostThreads(0);
+    const unsigned auto_shards = chip.shardCount();
+    kernels::setMode(env_mode);
+    if (!same(scalar.r, simd.r))
         fatal("SIMD scan diverged from the scalar reference scan");
-
-    // Serial vs parallel under the env-dispatched kernels.
-    kernels::setMode(kernels::envMode());
-    const double serial_ms =
-        kernels::simdEnabled() ? simd_ms : scalar_ms;
-    chip.setHostThreads(parallel_threads);
-    const double parallel_ms = timeScans(parallel_r);
-    if (!same(scalar_r, parallel_r))
+    if (!same(scalar.r, parallel.r))
         fatal("parallel scan diverged from the serial scan");
+    if (!same(scalar.r, automatic.r))
+        fatal("default-width scan diverged from the serial scan");
 
-    const double simulated_ns = ticksToNs(scalar_r.time);
+    const double serial_ms = kernels::simdEnabled() ? simd.ms : scalar.ms;
+    const double simulated_ns = ticksToNs(scalar.r.time);
     const double simd_speedup =
-        simd_ms > 0.0 ? scalar_ms / simd_ms : 0.0;
+        simd.ms > 0.0 ? scalar.ms / simd.ms : 0.0;
 
     std::printf("scan self-timing: %llu keys, k=%u: host %.3f ms "
                 "scalar vs %.3f ms %s (%.2fx); %.3f ms serial vs "
-                "%.3f ms at %u threads (%.2fx); simulated %.1f "
+                "%.3f ms at %u threads (%.2fx); %.3f ms at the "
+                "default width (%u shards); simulated %.1f "
                 "ns/scan\n",
-                static_cast<unsigned long long>(keys), k, scalar_ms,
-                simd_ms, kernels::availableIsaName(), simd_speedup,
-                serial_ms, parallel_ms, parallel_threads,
-                serial_ms / parallel_ms, simulated_ns);
+                static_cast<unsigned long long>(keys), k, scalar.ms,
+                simd.ms, kernels::availableIsaName(), simd_speedup,
+                serial_ms, parallel.ms, parallel_threads,
+                serial_ms / parallel.ms, automatic.ms, auto_shards,
+                simulated_ns);
 
     bench::BenchJson json("scan");
     json.field("keys", keys)
         .field("word_bits", k)
         .field("scans_timed", scans)
+        .field("rounds_timed", rounds)
         .field("scan_steps", static_cast<std::uint64_t>(
-            scalar_r.steps))
-        .field("scalar_host_ms_per_scan", scalar_ms)
-        .field("simd_host_ms_per_scan", simd_ms)
+            scalar.r.steps))
+        .field("scalar_host_ms_per_scan", scalar.ms)
+        .field("simd_host_ms_per_scan", simd.ms)
         .field("simd_isa", kernels::availableIsaName())
         .field("simd_speedup", simd_speedup)
         .field("serial_host_ms_per_scan", serial_ms)
-        .field("parallel_host_ms_per_scan", parallel_ms)
+        .field("parallel_host_ms_per_scan", parallel.ms)
         .field("parallel_threads", parallel_threads)
-        .field("speedup", parallel_ms > 0.0
-            ? serial_ms / parallel_ms : 0.0)
+        .field("speedup", parallel.ms > 0.0
+            ? serial_ms / parallel.ms : 0.0)
+        .field("auto_host_ms_per_scan", automatic.ms)
+        .field("auto_shards", auto_shards)
         .field("simulated_ns_per_scan", simulated_ns)
         .write("BENCH_scan.json");
 

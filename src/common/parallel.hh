@@ -25,6 +25,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -83,6 +84,17 @@ class ThreadPool
                    const std::function<void(std::size_t, std::size_t,
                                             unsigned)> &fn);
 
+    /**
+     * Task sets handed to the workers so far; run() calls that ran
+     * inline (one task, or no workers) do not count.
+     */
+    std::uint64_t
+    dispatches() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return generation_;
+    }
+
     /** RIME_THREADS env when set (>0), else hardware concurrency. */
     static unsigned configuredThreads();
 
@@ -94,7 +106,7 @@ class ThreadPool
     void workerLoop();
 
     std::vector<std::thread> workers_;
-    std::mutex mutex_;
+    mutable std::mutex mutex_;
     std::condition_variable wakeCv_;
     std::condition_variable doneCv_;
     std::uint64_t generation_ = 0;

@@ -46,13 +46,15 @@ WakePipe::drain()
 {
     if (readFd_ < 0)
         return;
-    // Disarm before reading: a waker racing past this point writes a
-    // fresh byte for the *next* poll round, which at worst means one
-    // spurious wakeup -- never a lost one.
-    armed_.store(false, std::memory_order_release);
+    // Read dry, then disarm.  Disarming first lets a racing wake()
+    // write a byte this read swallows, leaving the flag armed over an
+    // empty pipe so every later wake() is a no-op.  A wake() that
+    // still sees the flag armed here needs no byte: the loop harvests
+    // completions after drain().
     char buf[256];
     while (::read(readFd_, buf, sizeof(buf)) > 0) {
     }
+    armed_.store(false, std::memory_order_release);
 }
 
 int

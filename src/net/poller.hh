@@ -47,7 +47,11 @@ class WakePipe
      */
     void wake();
 
-    /** Consume every pending wake byte (event-loop side). */
+    /**
+     * Consume every pending wake byte (event-loop side).  Harvest
+     * completions after drain(), not before: a wake() racing it may
+     * coalesce into the byte just consumed.
+     */
     void drain();
 
   private:

@@ -38,10 +38,13 @@ struct DeviceConfig
      */
     bool bitLevel = false;
     /**
-     * Host threads driving each bit-level chip's scan engine (0 =
-     * the RIME_THREADS environment variable, else the hardware
-     * concurrency).  Any value produces bit-identical results; this
-     * is purely a simulator-speed knob.
+     * Host threads driving each bit-level chip's scan engine.  0 is
+     * the default width: at most RIME_THREADS (else the hardware
+     * concurrency) shards, and one shard per
+     * RimeChip::kUnitsPerShard active units, so small ranges scan
+     * inline.  An explicit N always gives min(N, active units)
+     * shards.  Any value produces bit-identical results; this is
+     * purely a simulator-speed knob.
      */
     unsigned hostThreads = 0;
     /** Candidates each chip computes ahead into its DIMM data buffer. */

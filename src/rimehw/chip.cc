@@ -40,6 +40,7 @@ RimeChip::RimeChip(const RimeGeometry &geometry,
 void
 RimeChip::setHostThreads(unsigned host_threads)
 {
+    explicitWidth_ = host_threads != 0;
     threads_ = host_threads ? host_threads
                             : ThreadPool::configuredThreads();
     if (threads_ > 1)
@@ -50,8 +51,11 @@ RimeChip::setHostThreads(unsigned host_threads)
 unsigned
 RimeChip::shardCount() const
 {
-    return static_cast<unsigned>(std::min<std::size_t>(
-        threads_, activeUnits_.size()));
+    const std::size_t units = activeUnits_.size();
+    const std::size_t work_cap = explicitWidth_
+        ? units : std::max<std::size_t>(1, units / kUnitsPerShard);
+    return static_cast<unsigned>(
+        std::min<std::size_t>({threads_, units, work_cap}));
 }
 
 unsigned
@@ -72,8 +76,8 @@ RimeChip::configure(unsigned k, KeyMode mode)
               k, geometry_.arrayCols);
     k_ = k;
     mode_ = mode;
-    unitsTotal_ = std::uint64_t(arrays_.size()) *
-        geometry_.slotsPerRow(k);
+    slots_ = geometry_.slotsPerRow(k);
+    unitsTotal_ = std::uint64_t(arrays_.size()) * slots_;
     logicalUnits_ = unitsTotal_;
     if (faults_) {
         const std::uint64_t spares = std::min<std::uint64_t>(
@@ -87,7 +91,7 @@ RimeChip::configure(unsigned k, KeyMode mode)
     remappedRows_ = 0;
     lostValues_ = 0;
     units_.clear();
-    units_.resize(unitsTotal_);
+    units_.resize(arrays_.size());
     activeUnits_.clear();
     rangeBegin_ = rangeEnd_ = 0;
 }
@@ -103,10 +107,13 @@ RimeChip::unit(std::uint64_t unit_id)
 {
     if (unit_id >= unitsTotal_)
         panic("unit id out of range");
-    if (!units_[unit_id]) {
-        const unsigned slots = geometry_.slotsPerRow(k_);
-        const std::uint64_t array_id = unit_id / slots;
-        const unsigned slot = static_cast<unsigned>(unit_id % slots);
+    const std::uint64_t array_id = unit_id / slots_;
+    const unsigned slot = static_cast<unsigned>(unit_id % slots_);
+    auto &array_units = units_[array_id];
+    if (!array_units)
+        array_units = std::make_unique<std::unique_ptr<ArrayUnit>[]>(slots_);
+    std::unique_ptr<ArrayUnit> &u = array_units[slot];
+    if (!u) {
         if (!arrays_[array_id]) {
             arrays_[array_id] = std::make_unique<RramArray>(
                 geometry_.arrayRows, geometry_.arrayCols);
@@ -114,11 +121,10 @@ RimeChip::unit(std::uint64_t unit_id)
                 arrays_[array_id]->attachFaults(faults_.get(),
                                                 array_id);
         }
-        units_[unit_id] = std::make_unique<ArrayUnit>(
-            arrays_[array_id].get(), slot, k_,
-            faults_ ? rowsPerUnit() : 0);
+        u = std::make_unique<ArrayUnit>(arrays_[array_id].get(), slot,
+                                        k_, faults_ ? rowsPerUnit() : 0);
     }
-    return *units_[unit_id];
+    return *u;
 }
 
 ArrayUnit &

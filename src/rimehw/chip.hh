@@ -28,6 +28,7 @@
 #ifndef RIME_RIMEHW_CHIP_HH
 #define RIME_RIMEHW_CHIP_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -53,9 +54,13 @@ class RimeChip : public RankBackend
   public:
     /**
      * @param host_threads execution width of the host-side parallel
-     *        scan engine (mats compute concurrently in the real chip);
-     *        0 selects the RIME_THREADS / hardware default.  Results,
-     *        statistics, and energy are bit-identical for any value.
+     *        scan engine (mats compute concurrently in the real chip).
+     *        0 selects the default width: the RIME_THREADS / hardware
+     *        thread count caps it, and a range gets one shard per
+     *        kUnitsPerShard active units, so small ranges scan inline
+     *        on the caller.  An explicit N always splits a range into
+     *        min(N, active units) shards.  Results, statistics, and
+     *        energy are bit-identical for any value.
      * @param faults fault-injection and repair-provisioning knobs;
      *        default-constructed params inject nothing and leave the
      *        fault machinery entirely out of the scan path
@@ -65,9 +70,19 @@ class RimeChip : public RankBackend
              unsigned host_threads = 0,
              const FaultParams &faults = FaultParams{});
 
-    /** Change the host-side execution width (0 = configured default). */
+    /**
+     * Active units per shard at the default width: below 2 *
+     * kUnitsPerShard units a scan runs as one shard, because a pool
+     * fork-join costs more than the column searches it spreads.
+     * Calibrated with bench/micro_ops (see DESIGN.md, "Sharding").
+     */
+    static constexpr std::size_t kUnitsPerShard = 4096;
+
+    /** Change the host-side execution width (0 = default width). */
     void setHostThreads(unsigned host_threads);
     unsigned hostThreads() const { return threads_; }
+    /** Shards each scan phase over the current range runs on. */
+    unsigned shardCount() const;
 
     /**
      * Set the word width and data-type mode for subsequent operations
@@ -148,8 +163,6 @@ class RimeChip : public RankBackend
     unsigned rowsPerUnit() const;
     /** Point the cached active-unit list at [begin, end). */
     void selectRange(std::uint64_t begin, std::uint64_t end);
-    /** Shards for the current active-unit list. */
-    unsigned shardCount() const;
     /** beginExtraction on every active unit; total survivor count. */
     std::uint64_t loadSelectLatches();
 
@@ -219,6 +232,8 @@ class RimeChip : public RankBackend
     RimeTimingParams timing_;
     unsigned k_ = 32;
     KeyMode mode_ = KeyMode::UnsignedFixed;
+    /** Value slots per subarray row at the current word width. */
+    unsigned slots_ = 1;
     std::uint64_t unitsTotal_ = 0;
     /** Units addressable as values; the rest are spare units. */
     std::uint64_t logicalUnits_ = 0;
@@ -227,14 +242,21 @@ class RimeChip : public RankBackend
 
     /** Lazily allocated subarrays (bank*subbanks + subbank). */
     std::vector<std::unique_ptr<RramArray>> arrays_;
-    /** Lazily created scan units, indexed by physical unit id. */
-    std::vector<std::unique_ptr<ArrayUnit>> units_;
+    /**
+     * Lazily created scan units, one slot table per subarray (indexed
+     * like arrays_) allocated with its first unit: a flat table over
+     * every unit id would zero-fill 512 KiB per full-geometry chip
+     * that a range of a few hundred units never touches.
+     */
+    std::vector<std::unique_ptr<std::unique_ptr<ArrayUnit>[]>> units_;
     /** Units overlapping the active range, in address order. */
     std::vector<ArrayUnit *> activeUnits_;
     std::uint64_t activeFirstUnit_ = 0;
 
     /** Host-side execution width of the scan engine. */
     unsigned threads_ = 1;
+    /** Width taken as given (explicit hostThreads), not work-sized. */
+    bool explicitWidth_ = false;
     /** Per-shard scratch, reused across steps to avoid allocation. */
     std::vector<ShardSignals> shardScratch_;
 

@@ -288,6 +288,8 @@ TEST(FaultyChip, AllMechanismsBitIdenticalAcrossThreads)
         put(i, rng() & 0xFFFF);
     serial.initRange(0, n);
     parallel.initRange(0, n);
+    // The explicit width splits the 5-unit range over the pool.
+    ASSERT_GT(parallel.shardCount(), 1u);
 
     for (int step = 0; step < 400; ++step) {
         if (rng.below(5) == 0) {

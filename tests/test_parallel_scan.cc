@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -68,6 +70,82 @@ expectSameStats(const RimeChip &a, const RimeChip &b)
     EXPECT_DOUBLE_EQ(a.energyPJ(), b.energyPJ());
 }
 
+/**
+ * Drive every chip through the same randomized workload -- min/max
+ * extractions, live stores, remaining counts and re-inits over two
+ * sub-ranges -- and require each chip to match chips[0] at every step
+ * and in its final stats.
+ */
+void
+runRandomWorkload(const std::vector<RimeChip *> &chips, KeyMode mode,
+                  unsigned k, std::uint64_t seed)
+{
+    RimeChip &ref = *chips.front();
+    for (RimeChip *chip : chips)
+        chip->configure(k, mode);
+
+    const std::size_t n = std::min<std::size_t>(
+        768, ref.valueCapacity());
+    Rng rng(seed);
+    const std::uint64_t mask = k >= 64 ? ~0ULL : (1ULL << k) - 1;
+    auto put = [&](std::uint64_t idx, std::uint64_t raw) {
+        for (RimeChip *chip : chips)
+            chip->writeValue(idx, raw);
+    };
+    auto init = [&](std::uint64_t b, std::uint64_t e) {
+        for (RimeChip *chip : chips)
+            chip->initRange(b, e);
+    };
+    auto extract = [&](std::uint64_t b, std::uint64_t e, bool find_max,
+                       int step) {
+        const ExtractResult want = ref.extract(b, e, find_max);
+        for (std::size_t c = 1; c < chips.size(); ++c)
+            expectSameResult(want, chips[c]->extract(b, e, find_max),
+                             step);
+    };
+    for (std::size_t i = 0; i < n; ++i)
+        put(i, rng() & mask);
+
+    const std::uint64_t mid = n / 2;
+    init(0, mid);
+    init(mid, n);
+
+    for (int step = 0; step < 500; ++step) {
+        const unsigned action = static_cast<unsigned>(rng.below(6));
+        const bool first = rng.below(2) == 0;
+        const std::uint64_t b = first ? 0 : mid;
+        const std::uint64_t e = first ? mid : n;
+        switch (action) {
+          case 0:
+          case 1:
+            extract(b, e, false, step);
+            break;
+          case 2:
+            extract(b, e, true, step);
+            break;
+          case 3: {
+            // Live store into the active range.
+            const std::uint64_t idx = b + rng.below(e - b);
+            put(idx, rng() & mask);
+            break;
+          }
+          case 4: {
+            const std::uint64_t want = ref.remainingInRange(b, e);
+            for (std::size_t c = 1; c < chips.size(); ++c)
+                ASSERT_EQ(want, chips[c]->remainingInRange(b, e))
+                    << step;
+            break;
+          }
+          case 5:
+            if (rng.below(8) == 0)
+                init(b, e);
+            break;
+        }
+    }
+    for (std::size_t c = 1; c < chips.size(); ++c)
+        expectSameStats(ref, *chips[c]);
+}
+
 struct ModeCase
 {
     KeyMode mode;
@@ -87,60 +165,11 @@ TEST_P(ParallelDeterminism, RandomWorkloadBitIdentical)
     RimeChip parallel(shardedGeometry(), RimeTimingParams{}, threads);
     ASSERT_EQ(serial.hostThreads(), 1u);
     ASSERT_EQ(parallel.hostThreads(), threads);
-    serial.configure(k, mode);
-    parallel.configure(k, mode);
-
-    const std::size_t n = std::min<std::size_t>(
-        768, serial.valueCapacity());
-    Rng rng(4200 + k + 17 * threads);
-    const std::uint64_t mask = k >= 64 ? ~0ULL : (1ULL << k) - 1;
-    auto put = [&](std::uint64_t idx, std::uint64_t raw) {
-        serial.writeValue(idx, raw);
-        parallel.writeValue(idx, raw);
-    };
-    for (std::size_t i = 0; i < n; ++i)
-        put(i, rng() & mask);
-
-    const std::uint64_t mid = n / 2;
-    serial.initRange(0, mid);
-    parallel.initRange(0, mid);
-    serial.initRange(mid, n);
-    parallel.initRange(mid, n);
-
-    for (int step = 0; step < 500; ++step) {
-        const unsigned action = static_cast<unsigned>(rng.below(6));
-        const bool first = rng.below(2) == 0;
-        const std::uint64_t b = first ? 0 : mid;
-        const std::uint64_t e = first ? mid : n;
-        switch (action) {
-          case 0:
-          case 1:
-            expectSameResult(serial.extract(b, e, false),
-                             parallel.extract(b, e, false), step);
-            break;
-          case 2:
-            expectSameResult(serial.extract(b, e, true),
-                             parallel.extract(b, e, true), step);
-            break;
-          case 3: {
-            // Live store into the active range.
-            const std::uint64_t idx = b + rng.below(e - b);
-            put(idx, rng() & mask);
-            break;
-          }
-          case 4:
-            ASSERT_EQ(serial.remainingInRange(b, e),
-                      parallel.remainingInRange(b, e)) << step;
-            break;
-          case 5:
-            if (rng.below(8) == 0) {
-                serial.initRange(b, e);
-                parallel.initRange(b, e);
-            }
-            break;
-        }
-    }
-    expectSameStats(serial, parallel);
+    runRandomWorkload({&serial, &parallel}, mode, k,
+                      4200 + k + 17 * threads);
+    // The explicit width really split the workload's 6-unit ranges.
+    EXPECT_EQ(serial.shardCount(), 1u);
+    EXPECT_GT(parallel.shardCount(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -191,6 +220,70 @@ TEST(ParallelDeterminism, FullDrainIdenticalAcrossWidths)
                              static_cast<int>(i));
         }
         expectSameStats(serial, chip);
+    }
+}
+
+TEST(ShardWidth, DefaultWidthRunsSmallRangesOnOneShard)
+{
+    // 128 units at k = 16, far below the grain: one shard, so scans
+    // never enter the pool, whatever RIME_THREADS says.
+    RimeChip chip(shardedGeometry(), RimeTimingParams{}, 0);
+    chip.configure(16, KeyMode::UnsignedFixed);
+    EXPECT_EQ(chip.hostThreads(), ThreadPool::configuredThreads());
+    chip.initRange(0, chip.valueCapacity());
+    EXPECT_EQ(chip.shardCount(), 1u);
+    chip.setHostThreads(4);
+    EXPECT_EQ(chip.shardCount(), 4u);
+    chip.setHostThreads(0);
+    EXPECT_EQ(chip.shardCount(), 1u);
+}
+
+TEST(ShardWidth, DefaultWidthSplitsAboveTheGrain)
+{
+    // 64-row units, four k = 16 slots per row: exactly 2 grains of
+    // units.  One unit fewer stays on one shard; the full range gets
+    // one shard per grain, capped by the configured width.
+    RimeGeometry g = shardedGeometry();
+    g.subbanksPerBank = 32;
+    g.banksPerChip = static_cast<unsigned>(
+        2 * RimeChip::kUnitsPerShard / (4 * g.subbanksPerBank));
+    RimeChip chip(g, RimeTimingParams{}, 0);
+    chip.configure(16, KeyMode::UnsignedFixed);
+    const std::uint64_t units = 2 * RimeChip::kUnitsPerShard;
+    ASSERT_EQ(chip.valueCapacity(), units * g.arrayRows);
+    chip.initRange(0, (units - 1) * g.arrayRows);
+    EXPECT_EQ(chip.shardCount(), 1u);
+    chip.initRange(0, units * g.arrayRows);
+    EXPECT_EQ(chip.shardCount(),
+              std::min(2u, ThreadPool::configuredThreads()));
+}
+
+TEST(ShardWidth, ExplicitWidthIsTakenAsGiven)
+{
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+        RimeChip chip(shardedGeometry(), RimeTimingParams{}, threads);
+        chip.configure(16, KeyMode::UnsignedFixed);
+        ASSERT_EQ(chip.hostThreads(), threads);
+        chip.initRange(0, 3 * 64); // 3 units
+        EXPECT_EQ(chip.shardCount(), std::min(threads, 3u));
+        chip.initRange(0, chip.valueCapacity()); // 128 units
+        EXPECT_EQ(chip.shardCount(), threads);
+    }
+}
+
+TEST(ShardWidth, DefaultWidthMatchesExplicitWidths)
+{
+    for (const auto &[mode, k] : {std::pair{KeyMode::UnsignedFixed, 16u},
+                                  std::pair{KeyMode::SignedFixed, 32u},
+                                  std::pair{KeyMode::Float, 32u}}) {
+        std::vector<std::unique_ptr<RimeChip>> owned;
+        std::vector<RimeChip *> chips;
+        for (const unsigned threads : {0u, 1u, 2u, 4u, 8u}) {
+            owned.push_back(std::make_unique<RimeChip>(
+                shardedGeometry(), RimeTimingParams{}, threads));
+            chips.push_back(owned.back().get());
+        }
+        runRandomWorkload(chips, mode, k, 9100 + k);
     }
 }
 

@@ -760,14 +760,18 @@ TEST(ServiceStats, TreeContainsShardsAndTenants)
 
 TEST(ServiceSoak, OversubscribedMixedClients)
 {
+    // Both controllers scan on the shared pool: an explicit width
+    // (the default one runs ranges this small inline) over ranges of
+    // 1024 keys per chip, i.e. at least two 512-row units.
     ServiceConfig cfg;
     cfg.shards = 2;
-    cfg.library.device.bitLevel = true; // controllers share the pool
-    cfg.scheduler.queueCapacity = 8;    // provoke real backpressure
+    cfg.library.device.bitLevel = true;
+    cfg.library.device.hostThreads = 4;
+    cfg.scheduler.queueCapacity = 8; // provoke real backpressure
     RimeService svc(std::move(cfg));
 
     constexpr unsigned kSessions = 6;
-    constexpr std::size_t kKeys = 48;
+    constexpr std::size_t kKeys = 8192;
     std::vector<std::shared_ptr<Session>> sessions;
     std::vector<std::pair<Addr, Addr>> ranges;
     for (unsigned i = 0; i < kSessions; ++i) {
@@ -777,6 +781,7 @@ TEST(ServiceSoak, OversubscribedMixedClients)
         }));
         ranges.push_back(setupRange(*sessions[i], sessionKeys(i, kKeys)));
     }
+    const std::uint64_t dispatches0 = ThreadPool::global().dispatches();
 
     std::atomic<std::uint64_t> served{0}, shed{0};
     std::vector<std::thread> clients;
@@ -818,6 +823,8 @@ TEST(ServiceSoak, OversubscribedMixedClients)
     EXPECT_EQ(served.load() + shed.load(), 4u * 120u)
         << "every submission completed exactly once";
     EXPECT_GT(served.load(), 0u);
+    EXPECT_GT(ThreadPool::global().dispatches(), dispatches0)
+        << "no min/max scan ran multi-shard on the pool";
     EXPECT_TRUE(svc.health().pristine());
     for (auto &s : sessions)
         s->close();

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -29,6 +30,7 @@
 #include "common/fdio.hh"
 #include "common/rng.hh"
 #include "net/client.hh"
+#include "net/poller.hh"
 #include "net/server.hh"
 #include "net/socket.hh"
 #include "service/service.hh"
@@ -782,4 +784,50 @@ TEST(WireClient, ServerStopCompletesInFlightFuturesClosed)
     }
     EXPECT_EQ(client.protocolErrors(), 0u);
     client.disconnect();
+}
+
+// ---------------------------------------------------------------------
+// Event-loop waker: a wake() racing drain() is never lost.
+// ---------------------------------------------------------------------
+
+TEST(WakePipe, WakeRacingDrainIsNeverLost)
+{
+    // One thread spins on wake() while this one plays the server loop:
+    // poll the read end, drain it, repeat.  A wake() whose byte drain()
+    // swallowed after disarming would leave the pipe empty but armed;
+    // every later wake() would then be a no-op and the loop would run
+    // only on its poll timeout -- raised to 1 s here, far above any
+    // scheduling delay, so a timeout means a lost wakeup.
+    WakePipe pipe;
+    ASSERT_TRUE(pipe.ok());
+    Poller poller;
+    poller.add(pipe.readFd(), true, false);
+    std::atomic<bool> stop{false};
+    std::thread waker([&] {
+        while (!stop.load(std::memory_order_relaxed))
+            pipe.wake();
+    });
+    int rounds = 0, timeouts = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+    while (rounds < 50000 && std::chrono::steady_clock::now() < deadline) {
+        const int n = poller.wait(1000);
+        ASSERT_GE(n, 0);
+        if (n == 0) {
+            ++timeouts;
+            break;
+        }
+        pipe.drain();
+        ++rounds;
+    }
+    stop.store(true, std::memory_order_relaxed);
+    waker.join();
+    EXPECT_EQ(timeouts, 0) << "lost wakeup after " << rounds << " rounds";
+    EXPECT_GT(rounds, 0);
+
+    // With the waker gone, one last wake() must still reach the loop:
+    // the last drain() left the flag disarmed or a byte in the pipe.
+    pipe.wake();
+    ASSERT_EQ(poller.wait(1000), 1);
+    EXPECT_TRUE(poller.readable(0));
 }
