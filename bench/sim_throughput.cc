@@ -1,10 +1,9 @@
 /**
  * @file
  * Simulation-speed bench: how many simulated events per second the
- * simulator sustains, fast path vs the pre-PR reference path, in one
- * process.
+ * simulator sustains, with an exactness check on every stream.
  *
- * Three representative streams are replayed twice each:
+ * Three representative streams are replayed:
  *
  *  - "heap": the traced binary heap under priority-queue churn (the
  *    fig18 baseline sample loop).
@@ -13,13 +12,13 @@
  *  - "scan": bit-level RIME extraction (the sort kernel itself),
  *    scalar kernels vs the dispatched SIMD kernels (kernels.hh).
  *
- * Each reference pipeline is constructed explicitly (slow-mode
- * Hierarchy + per-access virtual delivery; kernels forced scalar via
- * kernels::setMode) rather than via RIME_SLOW_SIM / RIME_SIMD, so
- * both paths run in a single process and their counters can be
- * diffed directly; any mismatch -- cache/memory counters for the
- * baseline streams, extracted sequences and chip stat counters for
- * the scan stream -- is a correctness failure and exits nonzero.
+ * The heap and sort streams run once, through the batched cache
+ * pipeline, and their access and memory-traffic counters are compared
+ * with values recorded below for RIME_BENCH_SCALE=0.1 and 1 (other
+ * scales are timed but unchecked).  The scan stream runs twice, with
+ * the kernel layer forced scalar and SIMD via kernels::setMode, and
+ * the extracted sequences and chip stat counters of the two runs are
+ * diffed.  Any mismatch is a correctness failure and exits nonzero.
  * Results go to stdout and to BENCH_simspeed.json (override with
  * RIME_SIMSPEED_JSON).
  */
@@ -27,7 +26,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "bench/bench_util.hh"
 #include "cachesim/hierarchy.hh"
@@ -42,29 +43,6 @@ using namespace rime::cachesim;
 
 namespace
 {
-
-/**
- * The pre-PR delivery path: one virtual AccessSink::access call per
- * simulated access.  Deliberately does not override drain(), so
- * batches produced inside library code (runSort) degrade to the
- * per-record virtual loop of the AccessSink base class.
- */
-class UnbatchedCacheSink : public sort::AccessSink
-{
-  public:
-    explicit UnbatchedCacheSink(Hierarchy &hierarchy)
-        : hierarchy_(hierarchy)
-    {}
-
-    void
-    access(unsigned core, Addr addr, AccessType type) override
-    {
-        hierarchy_.access(core % hierarchy_.numCores(), addr, type);
-    }
-
-  private:
-    Hierarchy &hierarchy_;
-};
 
 /** One pipeline's measurement. */
 struct PipelineRun
@@ -86,15 +64,54 @@ struct PipelineRun
     }
 };
 
-/** Fast and reference runs agree on every deterministic counter. */
+/** Two runs agree on every deterministic counter. */
 bool
-countersMatch(const PipelineRun &slow, const PipelineRun &fast)
+countersMatch(const PipelineRun &a, const PipelineRun &b)
 {
-    return slow.accesses == fast.accesses &&
-        slow.memReads == fast.memReads &&
-        slow.memWrites == fast.memWrites &&
-        slow.checksum == fast.checksum &&
-        slow.statEvents == fast.statEvents;
+    return a.accesses == b.accesses && a.memReads == b.memReads &&
+        a.memWrites == b.memWrites && a.checksum == b.checksum &&
+        a.statEvents == b.statEvents;
+}
+
+/**
+ * Counters of one baseline stream at one size, recorded when the
+ * simulator still carried its unoptimised reference pipeline (which
+ * agreed with the batched one bit-for-bit).  `initial` is the heap's
+ * prefill (0 for sort), `n` the heap churn or the sort's key count.
+ */
+struct RecordedRun
+{
+    const char *stream;
+    std::uint64_t initial;
+    std::uint64_t n;
+    std::uint64_t accesses;
+    std::uint64_t memReads;
+    std::uint64_t memWrites;
+};
+
+constexpr RecordedRun kRecorded[] = {
+    // RIME_BENCH_SCALE=0.1 (the CI scale).
+    {"heap", 16384, 209715, 14149290, 2049, 0},
+    {"sort", 0, 209715, 11031119, 26216, 0},
+    // RIME_BENCH_SCALE=1.
+    {"heap", 131072, 2097152, 172054920, 16385, 0},
+    {"sort", 0, 2097152, 133662654, 5766910, 2818048},
+};
+
+std::optional<PipelineRun>
+recorded(const char *stream, std::uint64_t initial, std::uint64_t n)
+{
+    for (const RecordedRun &r : kRecorded) {
+        if (std::string_view(r.stream) == stream &&
+            r.initial == initial && r.n == n) {
+            PipelineRun run;
+            run.accesses = r.accesses;
+            run.memReads = r.memReads;
+            run.memWrites = r.memWrites;
+            return run;
+        }
+    }
+    return std::nullopt;
 }
 
 std::uint64_t
@@ -104,22 +121,19 @@ hierarchyAccesses(Hierarchy &h)
     return static_cast<std::uint64_t>(v.at("loads") + v.at("stores"));
 }
 
-/** Replay the priority-queue churn through one pipeline. */
+/** Replay the priority-queue churn through the cache pipeline. */
 PipelineRun
-runHeapStream(bool slow, std::uint64_t initial, std::uint64_t churn)
+runHeapStream(std::uint64_t initial, std::uint64_t churn)
 {
     // Same sizing as the fig18 baseline sample: one core, default
     // Table-I L1/L2.
-    Hierarchy h(1, CacheConfig::l1d(), CacheConfig::l2(), slow);
+    Hierarchy h(1);
     sort::CacheSink sink(h);
     const auto keys = randomRaws(initial + churn, 4242);
 
     const auto t0 = std::chrono::steady_clock::now();
     {
-        // Fast path: all heap accesses go through one shared batch.
-        // Reference path: straight into the sink, one virtual call
-        // per access (the pre-PR pipeline).
-        sort::AccessBatch batch(sink, /*bypass=*/slow);
+        sort::AccessBatch batch(sink);
         workloads::TracedHeap heap(batch, /*base=*/0);
         std::uint64_t next = 0;
         for (std::uint64_t i = 0; i < initial; ++i)
@@ -140,17 +154,12 @@ runHeapStream(bool slow, std::uint64_t initial, std::uint64_t churn)
     return run;
 }
 
-/** Replay the mergesort address stream through one pipeline. */
+/** Replay the mergesort address stream through the cache pipeline. */
 PipelineRun
-runSortStream(bool slow, std::uint64_t n)
+runSortStream(std::uint64_t n)
 {
-    Hierarchy h(1, CacheConfig::l1d(), CacheConfig::l2(), slow);
-    sort::CacheSink fast_sink(h);
-    UnbatchedCacheSink slow_sink(h);
-    sort::AccessSink &sink =
-        slow ? static_cast<sort::AccessSink &>(slow_sink)
-             : static_cast<sort::AccessSink &>(fast_sink);
-
+    Hierarchy h(1);
+    sort::CacheSink sink(h);
     const auto raws = randomRaws(n, 7171);
     sort::Keys keys(raws.begin(), raws.end());
 
@@ -168,9 +177,8 @@ runSortStream(bool slow, std::uint64_t n)
 
 /**
  * Replay bit-level RIME extractions with the kernel layer forced
- * scalar (the reference path) or SIMD.  Extracted values and the
- * deterministic chip stat counters are folded into the run so the
- * caller can diff the two paths exactly.
+ * scalar or SIMD.  Extracted values and the deterministic chip stat
+ * counters are folded into the run so the caller can diff the two.
  */
 PipelineRun
 runScanStream(bool scalar, std::uint64_t n, std::uint64_t extractions)
@@ -210,61 +218,98 @@ runScanStream(bool scalar, std::uint64_t n, std::uint64_t extractions)
     return run;
 }
 
-/** Both pipelines over one stream, with the equivalence diff. */
+/**
+ * One stream's result.  For heap and sort, `run` is the timed cache
+ * pipeline and `expected` the recorded counters (empty at an
+ * unrecorded size).  For scan, `run` is the SIMD run and `expected`
+ * the scalar one.
+ */
 struct StreamResult
 {
     const char *name = "";
-    PipelineRun slow;
-    PipelineRun fast;
-    bool match = false;
+    PipelineRun run;
+    std::optional<PipelineRun> expected;
 
-    double
-    speedup() const
-    {
-        return slow.seconds > 0.0 && fast.seconds > 0.0
-            ? fast.accessesPerSec() / slow.accessesPerSec()
-            : 0.0;
-    }
+    bool ok() const { return !expected || countersMatch(*expected, run); }
 };
 
-void
-printStream(const StreamResult &r)
+const char *
+verdict(const StreamResult &r)
 {
-    std::printf("%-5s %12llu accesses | slow %8.3f s (%9.3f Maps) | "
-                "fast %8.3f s (%9.3f Maps) | speedup %5.2fx | "
-                "counters %s\n",
-                r.name,
-                static_cast<unsigned long long>(r.slow.accesses),
-                r.slow.seconds, r.slow.accessesPerSec() / 1e6,
-                r.fast.seconds, r.fast.accessesPerSec() / 1e6,
-                r.speedup(), r.match ? "match" : "MISMATCH");
+    if (!r.expected)
+        return "unchecked (no recorded counters at this size)";
+    return r.ok() ? "match" : "MISMATCH";
 }
 
 void
-writeJson(const std::vector<StreamResult> &streams)
+printCacheStream(const StreamResult &r)
+{
+    std::printf("%-5s %12llu accesses | %8.3f s (%9.3f Maps) | "
+                "mem %llu reads %llu writes | recorded counters %s\n",
+                r.name, static_cast<unsigned long long>(r.run.accesses),
+                r.run.seconds, r.run.accessesPerSec() / 1e6,
+                static_cast<unsigned long long>(r.run.memReads),
+                static_cast<unsigned long long>(r.run.memWrites),
+                verdict(r));
+}
+
+void
+printScanStream(const StreamResult &r)
+{
+    std::printf("%-5s %12llu extractions | scalar %8.3f s | "
+                "simd %8.3f s | speedup %5.2fx | counters %s\n",
+                r.name, static_cast<unsigned long long>(r.run.accesses),
+                r.expected->seconds, r.run.seconds,
+                r.run.seconds > 0.0 ? r.expected->seconds / r.run.seconds
+                                    : 0.0,
+                verdict(r));
+}
+
+void
+writeJson(const StreamResult &heap, const StreamResult &sort,
+          const StreamResult &scan)
 {
     const std::string path = envString("RIME_SIMSPEED_JSON")
         .value_or("BENCH_simspeed.json");
     BenchJson json("simspeed");
-    for (const auto &r : streams) {
+    for (const StreamResult *r : {&heap, &sort}) {
         char buf[512];
         std::snprintf(
             buf, sizeof(buf),
             "{\n"
             "    \"accesses\": %llu,\n"
-            "    \"slow_seconds\": %.6f,\n"
-            "    \"fast_seconds\": %.6f,\n"
-            "    \"slow_accesses_per_sec\": %.1f,\n"
-            "    \"fast_accesses_per_sec\": %.1f,\n"
-            "    \"speedup\": %.3f,\n"
+            "    \"seconds\": %.6f,\n"
+            "    \"accesses_per_sec\": %.1f,\n"
+            "    \"mem_reads\": %llu,\n"
+            "    \"mem_writes\": %llu,\n"
+            "    \"recorded\": %s,\n"
             "    \"counters_match\": %s\n"
             "  }",
-            static_cast<unsigned long long>(r.fast.accesses),
-            r.slow.seconds, r.fast.seconds,
-            r.slow.accessesPerSec(), r.fast.accessesPerSec(),
-            r.speedup(), r.match ? "true" : "false");
-        json.raw(r.name, buf);
+            static_cast<unsigned long long>(r->run.accesses),
+            r->run.seconds, r->run.accessesPerSec(),
+            static_cast<unsigned long long>(r->run.memReads),
+            static_cast<unsigned long long>(r->run.memWrites),
+            r->expected ? "true" : "false",
+            r->expected && r->ok() ? "true" : "false");
+        json.raw(r->name, buf);
     }
+    char buf[512];
+    std::snprintf(
+        buf, sizeof(buf),
+        "{\n"
+        "    \"extractions\": %llu,\n"
+        "    \"scalar_seconds\": %.6f,\n"
+        "    \"simd_seconds\": %.6f,\n"
+        "    \"speedup\": %.3f,\n"
+        "    \"counters_match\": %s\n"
+        "  }",
+        static_cast<unsigned long long>(scan.run.accesses),
+        scan.expected->seconds, scan.run.seconds,
+        scan.run.seconds > 0.0
+            ? scan.expected->seconds / scan.run.seconds
+            : 0.0,
+        scan.ok() ? "true" : "false");
+    json.raw(scan.name, buf);
     json.write(path);
 }
 
@@ -274,54 +319,48 @@ int
 main()
 {
     setVerbose(false);
-    std::printf("=== Simulation throughput: fast path vs reference "
-                "(simulated accesses/second) ===\n");
+    std::printf("=== Simulation throughput (simulated accesses/second) "
+                "===\n");
 
-    std::vector<StreamResult> streams;
-
+    StreamResult heap;
+    heap.name = "heap";
     {
-        StreamResult r;
-        r.name = "heap";
         const std::uint64_t initial = scaledCap(1 << 17);
         const std::uint64_t churn = scaledCap(1 << 21);
-        r.slow = runHeapStream(true, initial, churn);
-        r.fast = runHeapStream(false, initial, churn);
-        r.match = countersMatch(r.slow, r.fast);
-        printStream(r);
-        streams.push_back(r);
+        heap.run = runHeapStream(initial, churn);
+        heap.expected = recorded("heap", initial, churn);
     }
+    printCacheStream(heap);
 
+    StreamResult sort;
+    sort.name = "sort";
     {
-        StreamResult r;
-        r.name = "sort";
         const std::uint64_t n = scaledCap(1 << 21);
-        r.slow = runSortStream(true, n);
-        r.fast = runSortStream(false, n);
-        r.match = countersMatch(r.slow, r.fast);
-        printStream(r);
-        streams.push_back(r);
+        sort.run = runSortStream(n);
+        sort.expected = recorded("sort", 0, n);
     }
+    printCacheStream(sort);
 
+    StreamResult scan;
+    scan.name = "scan";
     {
-        StreamResult r;
-        r.name = "scan";
         const std::uint64_t n = scaledCap(1 << 17);
         const std::uint64_t extractions =
             std::min(n, std::max<std::uint64_t>(256, n >> 6));
-        r.slow = runScanStream(true, n, extractions);
-        r.fast = runScanStream(false, n, extractions);
-        r.match = countersMatch(r.slow, r.fast);
-        printStream(r);
-        streams.push_back(r);
+        scan.expected = runScanStream(true, n, extractions);
+        scan.run = runScanStream(false, n, extractions);
     }
+    printScanStream(scan);
 
-    writeJson(streams);
+    writeJson(heap, sort, scan);
 
-    for (const auto &r : streams) {
-        if (!r.match) {
+    for (const StreamResult *r : {&heap, &sort, &scan}) {
+        if (!r->ok()) {
             std::fprintf(stderr,
-                         "FAIL: %s stream counters diverge between "
-                         "fast and reference pipelines\n", r.name);
+                         "FAIL: %s stream counters diverge from %s\n",
+                         r->name,
+                         r == &scan ? "the scalar kernels"
+                                    : "the recorded values");
             return 1;
         }
     }

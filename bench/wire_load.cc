@@ -38,6 +38,11 @@
  *     the worst per-client p99 RTT must stay under 2x the median
  *     per-client p99.
  *
+ * Across all phases the JSON also records server_timeout_wakes: event
+ * loop iterations that only the 100 ms poll safety net woke while a
+ * reply was ready (RimeServer::timeoutWakes).  Any nonzero value
+ * means a completion's wake was lost.
+ *
  * Wall-clock numbers are host-dependent, like every wall column in
  * this tree; the JSON gate checks the *ratio* and the error counters,
  * not absolute rates.  RIME_BENCH_SCALE scales the op counts.
@@ -100,6 +105,8 @@ struct RunResult
      * hold together; ~1 when completions dribble back as singles.
      */
     double avgBatch = 0.0;
+    /** RimeServer::timeoutWakes of the serving server (wire runs). */
+    std::uint64_t serverTimeoutWakes = 0;
 };
 
 /**
@@ -323,6 +330,7 @@ runOverWire(std::uint64_t ops, std::size_t depth,
     client.closeSession(session);
     client.disconnect();
     server.stop();
+    r.serverTimeoutWakes = server.timeoutWakes();
     return r;
 }
 
@@ -335,6 +343,7 @@ struct ChaosResult
     std::uint64_t transportErrors = 0;
     std::uint64_t protocolErrors = 0;
     std::uint64_t serverProtocolErrors = 0;
+    std::uint64_t serverTimeoutWakes = 0;
 };
 
 /**
@@ -431,16 +440,19 @@ runChaos(std::uint64_t ops, std::uint64_t ops_per_cut)
     out.serverProtocolErrors = server.protocolErrors();
     client.disconnect();
     server.stop();
+    out.serverTimeoutWakes = server.timeoutWakes();
     return out;
 }
 
 /**
  * Phase 4: `clients` concurrent RimeClients against one server, each
  * driving the closed loop on its own session/range.  Returns the
- * per-client results; fairness is judged on the p99 spread.
+ * per-client results; fairness is judged on the p99 spread.  The
+ * shared server's timeout-wake count goes to `timeout_wakes`.
  */
 std::vector<RunResult>
-runFairness(std::uint64_t ops, unsigned clients)
+runFairness(std::uint64_t ops, unsigned clients,
+            std::uint64_t &timeout_wakes)
 {
     RimeService svc(benchService());
     RimeServer server(svc, {.tcp = "tcp:127.0.0.1:0"});
@@ -480,6 +492,7 @@ runFairness(std::uint64_t ops, unsigned clients)
     for (auto &t : threads)
         t.join();
     server.stop();
+    timeout_wakes = server.timeoutWakes();
     return results;
 }
 
@@ -502,10 +515,14 @@ main()
     // Phase 1: the wire depth sweep.
     std::printf("%8s %10s %12s %10s %10s %10s\n", "depth", "wall ms",
                 "ops/s", "p50 us", "p99 us", "avg batch");
+    // Loop iterations, summed over every server this bench starts,
+    // that the poll safety net woke with a reply ready.  Must be 0.
+    std::uint64_t timeoutWakes = 0;
     std::vector<std::pair<std::size_t, RunResult>> sweep;
     for (const std::size_t depth : {1u, 2u, 4u, 8u}) {
         sweep.emplace_back(depth, runOverWire(ops, depth));
         const RunResult &r = sweep.back().second;
+        timeoutWakes += r.serverTimeoutWakes;
         std::printf("%8zu %10.1f %12.1f %10.1f %10.1f %10.2f\n",
                     depth, r.wallMs, r.opsPerSec, r.p50Us, r.p99Us,
                     r.avgBatch);
@@ -532,6 +549,7 @@ main()
         inproc = inproc2;
     RunResult wire8 = runOverWire(ratioOps, kMaxDepth);
     const RunResult wire8b = runOverWire(ratioOps, kMaxDepth);
+    timeoutWakes += wire8.serverTimeoutWakes + wire8b.serverTimeoutWakes;
     if (wire8b.opsPerSec > wire8.opsPerSec)
         wire8 = wire8b;
     const double ratio =
@@ -551,6 +569,7 @@ main()
     // Phase 2b: the service batch-size sweep at depth 8 -- how much
     // of the wire rate the whole-read hand-off buys.
     const RunResult wireB1 = runOverWire(ratioOps, kMaxDepth, 1);
+    timeoutWakes += wireB1.serverTimeoutWakes;
     std::printf("wire depth-%zu batchOps sweep: 1 -> %.1f ops/s, "
                 "32 -> %.1f ops/s\n",
                 kMaxDepth, wireB1.opsPerSec, wire8.opsPerSec);
@@ -573,8 +592,9 @@ main()
     // Phase 4: multi-client fairness.
     constexpr unsigned kFairClients = 4;
     const std::uint64_t fairOps = std::max<std::uint64_t>(ops / 2, 64);
+    std::uint64_t fairTimeoutWakes = 0;
     const std::vector<RunResult> fairness =
-        runFairness(fairOps, kFairClients);
+        runFairness(fairOps, kFairClients, fairTimeoutWakes);
     std::vector<double> p99s;
     for (const RunResult &r : fairness)
         p99s.push_back(r.p99Us);
@@ -592,6 +612,11 @@ main()
     std::printf(" us; max/median %.2fx %s\n", fairSpread,
                 fairSpread < 2.0 ? "(< 2x target)"
                                  : "(ABOVE 2x target)");
+
+    timeoutWakes += chaos.serverTimeoutWakes + fairTimeoutWakes;
+    std::printf("server timeout wakes (all phases): %llu%s\n",
+                static_cast<unsigned long long>(timeoutWakes),
+                timeoutWakes == 0 ? "" : " (must be 0)");
 
     std::ostringstream arr;
     arr << "[\n";
@@ -654,6 +679,7 @@ main()
         .field("fairness_p99_max_us", fairMax)
         .field("fairness_spread", fairSpread)
         .field("fairness_ok", fairSpread < 2.0)
+        .field("server_timeout_wakes", timeoutWakes)
         .write("BENCH_wire.json");
     return 0;
 }

@@ -2,7 +2,10 @@
  * @file
  * A fast set-associative cache model with LRU replacement and
  * write-back/write-allocate policy, used to turn the instrumented
- * workload access streams into below-cache memory traffic.
+ * workload access streams into below-cache memory traffic.  There is
+ * one lookup path (compacted sets, move-to-front, MRU way hint); its
+ * equivalence oracle, a plain linear-scan LRU model, lives in
+ * tests/test_cache.cc.
  */
 
 #ifndef RIME_CACHESIM_CACHE_HH
@@ -95,19 +98,18 @@ class Cache
     /**
      * Access one address.  Allocates on miss; evicts LRU.
      *
-     * Two lookup implementations exist.  The reference one (used when
-     * the MRU hint is disabled, i.e. under RIME_SLOW_SIM) is the
-     * original linear set scan.  The fast one adds the MRU way hint
-     * for same-block runs, keeps each set's valid lines compacted to
-     * the lowest ways (scans never step over invalid lines -- the
-     * common case in the sparsely filled 16-way L2), and moves the
-     * hit line to way 0 so temporally local streams match on the
-     * first compare.  Both are observationally identical: replacement
-     * is decided by per-line timestamps (unique, so way order never
-     * matters for LRU), the victim among *invalid* ways carries no
-     * content, and all hit/miss/writeback counters and victim
-     * addresses evolve identically -- asserted by the fast-vs-slow
-     * trace replay in tests/test_cache.cc.
+     * Each set keeps its valid lines compacted at the lowest ways
+     * (ways [0, validCount_[set])), so scans never step over invalid
+     * lines -- the common case in the sparsely filled 16-way L2.  A
+     * hit or fill moves its line to way 0, so temporally local
+     * streams match on the first compare, and an MRU way hint skips
+     * the scan entirely for same-block runs.  None of this is
+     * observable: replacement is decided by per-line timestamps
+     * (unique, so way order never matters for LRU), and the choice
+     * among invalid ways carries no content.  Hit/miss/writeback
+     * counters and victim addresses are exactly those of a plain
+     * linear hit-then-victim scan per set -- asserted against such a
+     * reference model in tests/test_cache.cc.
      *
      * @param addr   byte address
      * @param write  true for a store
@@ -115,8 +117,67 @@ class Cache
     CacheResult
     access(Addr addr, bool write)
     {
-        return mruEnabled_ ? accessFast(addr, write)
-                           : accessReference(addr, write);
+        const std::uint64_t block = blockOf(addr);
+        if (mru_ && mruBlock_ == block) {
+            ++clock_;
+            mru_->lastUse = clock_;
+            mru_->dirty = mru_->dirty || write;
+            ++hits_;
+            return {true, false, false, 0, 0};
+        }
+        const std::uint64_t set = setOf(block);
+        const unsigned assoc = config_.associativity;
+        Line *base = &lines_[set * assoc];
+        std::uint16_t &vcount = validCount_[set];
+        ++clock_;
+
+        // One fused scan over the valid lines: find the block and, in
+        // case it is absent, the LRU victim (oldest timestamp).
+        unsigned victim = 0;
+        std::uint64_t oldest = ~0ULL;
+        for (unsigned way = 0; way < vcount; ++way) {
+            Line &line = base[way];
+            if (line.tag == block) {
+                if (way != 0)
+                    std::swap(base[0], line);
+                Line &front = base[0];
+                front.lastUse = clock_;
+                front.dirty = front.dirty || write;
+                ++hits_;
+                mru_ = &front;
+                mruBlock_ = block;
+                return {true, false, false, 0, 0};
+            }
+            if (line.lastUse < oldest) {
+                oldest = line.lastUse;
+                victim = way;
+            }
+        }
+        ++misses_;
+
+        CacheResult result;
+        if (vcount < assoc) {
+            // Fill the first invalid way.
+            victim = vcount++;
+        } else {
+            Line &line = base[victim];
+            result.evicted = true;
+            result.evictedAddr = line.tag << blockBits_;
+            if (line.dirty) {
+                result.writeback = true;
+                result.writebackAddr = result.evictedAddr;
+                ++writebacks_;
+            }
+        }
+        Line &line = base[victim];
+        line.dirty = write;
+        line.tag = block;
+        line.lastUse = clock_;
+        if (victim != 0)
+            std::swap(base[0], line);
+        mru_ = &base[0];
+        mruBlock_ = block;
+        return result;
     }
 
     /** Evict (and report dirtiness of) a block if present. */
@@ -125,33 +186,18 @@ class Cache
     {
         const std::uint64_t block = blockOf(addr);
         Line *base = &lines_[setOf(block) * config_.associativity];
-        if (mruEnabled_) {
-            // Fast-path variant: keep the set compacted by moving
-            // the last valid line into the vacated way.
-            std::uint16_t &vcount = validCount_[setOf(block)];
-            for (unsigned way = 0; way < vcount; ++way) {
-                Line &line = base[way];
-                if (line.tag == block) {
-                    const bool was_dirty = line.dirty;
-                    --vcount;
-                    if (way != vcount)
-                        std::swap(line, base[vcount]);
-                    base[vcount].valid = false;
-                    base[vcount].dirty = false;
-                    if (mru_ >= base &&
-                        mru_ < base + config_.associativity)
-                        mru_ = nullptr;
-                    return was_dirty;
-                }
-            }
-            return false;
-        }
-        for (unsigned way = 0; way < config_.associativity; ++way) {
+        std::uint16_t &vcount = validCount_[setOf(block)];
+        for (unsigned way = 0; way < vcount; ++way) {
             Line &line = base[way];
-            if (line.valid && line.tag == block) {
+            if (line.tag == block) {
+                // Keep the set compacted: the last valid line moves
+                // into the vacated way.
                 const bool was_dirty = line.dirty;
-                line.valid = false;
-                line.dirty = false;
+                --vcount;
+                if (way != vcount)
+                    std::swap(line, base[vcount]);
+                if (mru_ >= base && mru_ < base + config_.associativity)
+                    mru_ = nullptr;
                 return was_dirty;
             }
         }
@@ -163,27 +209,13 @@ class Cache
     contains(Addr addr) const
     {
         const std::uint64_t block = blockOf(addr);
-        const Line *base =
-            &lines_[setOf(block) * config_.associativity];
-        for (unsigned way = 0; way < config_.associativity; ++way) {
-            if (base[way].valid && base[way].tag == block)
+        const std::uint64_t set = setOf(block);
+        const Line *base = &lines_[set * config_.associativity];
+        for (unsigned way = 0; way < validCount_[set]; ++way) {
+            if (base[way].tag == block)
                 return true;
         }
         return false;
-    }
-
-    /**
-     * Disable the MRU way hint (the reference mode used to measure
-     * and verify the fast path; results are identical either way).
-     */
-    void
-    setMruHint(bool enabled)
-    {
-        if (enabled && !mruEnabled_)
-            recompact(); // reference-mode fills ignore compaction
-        mruEnabled_ = enabled;
-        if (!enabled)
-            mru_ = nullptr;
     }
 
     /** Forget all contents and statistics. */
@@ -214,161 +246,8 @@ class Cache
     {
         std::uint64_t tag = 0;
         std::uint64_t lastUse = 0;
-        bool valid = false;
         bool dirty = false;
     };
-
-    /** The pre-optimization lookup, kept verbatim for RIME_SLOW_SIM. */
-    CacheResult
-    accessReference(Addr addr, bool write)
-    {
-        const std::uint64_t block = blockOf(addr);
-        const std::uint64_t set = setOf(block);
-        Line *base = &lines_[set * config_.associativity];
-        ++clock_;
-
-        // Hit path.
-        for (unsigned way = 0; way < config_.associativity; ++way) {
-            Line &line = base[way];
-            if (line.valid && line.tag == block) {
-                line.lastUse = clock_;
-                line.dirty = line.dirty || write;
-                ++hits_;
-                return {true, false, false, 0, 0};
-            }
-        }
-
-        // Miss: choose victim (invalid first, then LRU).
-        ++misses_;
-        unsigned victim = 0;
-        std::uint64_t oldest = ~0ULL;
-        for (unsigned way = 0; way < config_.associativity; ++way) {
-            Line &line = base[way];
-            if (!line.valid) {
-                victim = way;
-                oldest = 0;
-                break;
-            }
-            if (line.lastUse < oldest) {
-                oldest = line.lastUse;
-                victim = way;
-            }
-        }
-
-        CacheResult result;
-        Line &line = base[victim];
-        if (line.valid) {
-            result.evicted = true;
-            result.evictedAddr = line.tag << blockBits_;
-            if (line.dirty) {
-                result.writeback = true;
-                result.writebackAddr = result.evictedAddr;
-                ++writebacks_;
-            }
-        }
-        line.valid = true;
-        line.dirty = write;
-        line.tag = block;
-        line.lastUse = clock_;
-        return result;
-    }
-
-    /**
-     * MRU-hint + compacted-set lookup.  Valid lines occupy ways
-     * [0, validCount_[set]); a hit (or fill) moves its line to way 0.
-     * Scans therefore touch only valid lines and temporally local
-     * streams match on the first compare.  The LRU decision reads
-     * only timestamps, making the physical way order unobservable.
-     */
-    CacheResult
-    accessFast(Addr addr, bool write)
-    {
-        const std::uint64_t block = blockOf(addr);
-        if (mru_ && mruBlock_ == block) {
-            ++clock_;
-            mru_->lastUse = clock_;
-            mru_->dirty = mru_->dirty || write;
-            ++hits_;
-            return {true, false, false, 0, 0};
-        }
-        const std::uint64_t set = setOf(block);
-        const unsigned assoc = config_.associativity;
-        Line *base = &lines_[set * assoc];
-        std::uint16_t &vcount = validCount_[set];
-        ++clock_;
-
-        // One fused scan over the valid lines: find the block and, in
-        // case it is absent, the LRU victim (oldest timestamp;
-        // timestamps are unique, so the choice matches the reference
-        // scan exactly).
-        unsigned victim = 0;
-        std::uint64_t oldest = ~0ULL;
-        for (unsigned way = 0; way < vcount; ++way) {
-            Line &line = base[way];
-            if (line.tag == block) {
-                if (way != 0)
-                    std::swap(base[0], line);
-                Line &front = base[0];
-                front.lastUse = clock_;
-                front.dirty = front.dirty || write;
-                ++hits_;
-                mru_ = &front;
-                mruBlock_ = block;
-                return {true, false, false, 0, 0};
-            }
-            if (line.lastUse < oldest) {
-                oldest = line.lastUse;
-                victim = way;
-            }
-        }
-        ++misses_;
-
-        CacheResult result;
-        if (vcount < assoc) {
-            // Fill an invalid way (equivalent to the reference scan's
-            // "first invalid": invalid ways carry no content, so the
-            // choice among them is unobservable).
-            victim = vcount++;
-        } else {
-            Line &line = base[victim];
-            result.evicted = true;
-            result.evictedAddr = line.tag << blockBits_;
-            if (line.dirty) {
-                result.writeback = true;
-                result.writebackAddr = result.evictedAddr;
-                ++writebacks_;
-            }
-        }
-        Line &line = base[victim];
-        line.valid = true;
-        line.dirty = write;
-        line.tag = block;
-        line.lastUse = clock_;
-        if (victim != 0)
-            std::swap(base[0], line);
-        mru_ = &base[0];
-        mruBlock_ = block;
-        return result;
-    }
-
-    /** Re-establish the fast path's compaction invariant. */
-    void
-    recompact()
-    {
-        const unsigned assoc = config_.associativity;
-        for (std::uint64_t set = 0; set < numSets_; ++set) {
-            Line *base = &lines_[set * assoc];
-            unsigned front = 0;
-            for (unsigned way = 0; way < assoc; ++way) {
-                if (base[way].valid) {
-                    if (way != front)
-                        std::swap(base[front], base[way]);
-                    ++front;
-                }
-            }
-            validCount_[set] = static_cast<std::uint16_t>(front);
-        }
-    }
 
     CacheConfig config_;
     std::uint64_t numSets_ = 0;
@@ -381,10 +260,9 @@ class Cache
     /** Line of the most recent hit/fill (null = no valid hint). */
     Line *mru_ = nullptr;
     std::uint64_t mruBlock_ = 0;
-    bool mruEnabled_ = true;
     std::vector<Line> lines_;
-    /** Per-set count of valid lines (fast path only: valid lines are
-     *  kept compacted at the set's lowest ways). */
+    /** Per-set count of valid lines, kept compacted at the set's
+     *  lowest ways. */
     std::vector<std::uint16_t> validCount_;
 };
 

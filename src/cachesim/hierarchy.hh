@@ -11,11 +11,13 @@
  * directory -- a presence summary (one bit per core) maintained on
  * every L1 fill, eviction and invalidation -- so a store to a block no
  * other core caches (the overwhelmingly common case for the private
- * sorting working sets) touches no other core's L1 at all.  Setting
- * RIME_SLOW_SIM=1 restores the pre-directory reference behaviour
- * (string-keyed stat lookups and a full O(cores) invalidate broadcast
- * per store); both paths produce bit-identical counters and dumps,
- * which the cache tests assert by replaying identical traces.
+ * sorting working sets) touches no other core's L1 at all.  A single
+ * core needs no directory.  The counters and dumps are exactly those
+ * of a full O(cores) invalidate broadcast per store, which
+ * tests/test_cache.cc asserts against a test-local reference model.
+ *
+ * Workload streams reach the hierarchy in batches through drain()
+ * (see sort::AccessBatch); access() is the one-record form.
  */
 
 #ifndef RIME_CACHESIM_HIERARCHY_HH
@@ -27,7 +29,6 @@
 #include <vector>
 
 #include "cachesim/cache.hh"
-#include "common/env.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -54,16 +55,10 @@ class Hierarchy
   public:
     using MemSink = std::function<void(const MemRequest &)>;
 
-    /**
-     * @param slow_mode  run the pre-optimization reference coherence
-     *                   path (broadcast invalidates, string-keyed
-     *                   stats); defaults to the RIME_SLOW_SIM env knob.
-     */
     Hierarchy(unsigned cores,
               const CacheConfig &l1_config = CacheConfig::l1d(),
-              const CacheConfig &l2_config = CacheConfig::l2(),
-              bool slow_mode = slowSimEnabled())
-        : stats_("cache"), l2_(l2_config), slowMode_(slow_mode)
+              const CacheConfig &l2_config = CacheConfig::l2())
+        : stats_("cache"), l2_(l2_config)
     {
         if (cores == 0)
             fatal("hierarchy needs at least one core");
@@ -72,18 +67,11 @@ class Hierarchy
         l1_.reserve(cores);
         for (unsigned i = 0; i < cores; ++i)
             l1_.push_back(std::make_unique<Cache>(l1_config));
-        // The directory (and the MRU way hint below it) only run on
-        // the fast path; the slow path keeps the original broadcast.
-        useDirectory_ = !slowMode_ && cores > 1;
-        if (slowMode_) {
-            for (auto &l1 : l1_)
-                l1->setMruHint(false);
-            l2_.setMruHint(false);
-        }
+        useDirectory_ = cores > 1;
         blockMask_ = ~(static_cast<Addr>(l1_config.blockBytes) - 1);
         // Resolve the hot-path counter handles once.  Resolution
-        // eagerly creates the keys (at zero) in both modes, so dumps
-        // carry the same key set whether or not events ever fire.
+        // eagerly creates the keys (at zero), so dumps carry the same
+        // key set whether or not events ever fire.
         loads_ = stats_.counter("loads");
         stores_ = stats_.counter("stores");
         coherenceWritebacks_ = stats_.counter("coherenceWritebacks");
@@ -99,10 +87,6 @@ class Hierarchy
         if (core >= l1_.size())
             fatal("access from unknown core %u", core);
         const bool write = type == AccessType::Write;
-        if (slowMode_) {
-            slowAccess(core, addr, write);
-            return;
-        }
         if (write)
             ++stores_;
         else
@@ -137,15 +121,14 @@ class Hierarchy
 
     /**
      * Bulk delivery of an in-order access run (the AccessBatch flush
-     * path).  Out-of-range cores wrap modulo the core count, as the
-     * per-access CacheSink path does.  Semantically identical to one
-     * access() call per record: the single-core fast loop only
-     * hoists the mode/bounds checks out of the loop and folds the
-     * load/store counter increments into one add per run -- counters
-     * only ever grow by integer-valued steps, so "+k" is
-     * bit-identical to k individual "+1" adds.  Flattened: the L2
-     * leg of the loop is hot enough that its call overhead shows up
-     * in end-to-end simulation throughput.
+     * path).  Out-of-range cores wrap modulo the core count.
+     * Semantically identical to one access() call per record: the
+     * single-core fast loop only hoists the bounds checks out of the
+     * loop and folds the load/store counter increments into one add
+     * per run -- counters only ever grow by integer-valued steps, so
+     * "+k" is bit-identical to k individual "+1" adds.  Flattened:
+     * the L2 leg of the loop is hot enough that its call overhead
+     * shows up in end-to-end simulation throughput.
      */
 #if defined(__GNUC__)
     __attribute__((flatten))
@@ -154,7 +137,7 @@ class Hierarchy
     drain(const AccessRecord *records, std::size_t count)
     {
         const unsigned cores = numCores();
-        if (slowMode_ || cores > 1) {
+        if (cores > 1) {
             for (std::size_t i = 0; i < count; ++i) {
                 const unsigned core = records[i].core;
                 access(core < cores ? core : core % cores,
@@ -187,8 +170,8 @@ class Hierarchy
 
     /**
      * Directory presence mask (bit c set when core c's L1 holds the
-     * block of `addr`).  Always zero when the directory is off (slow
-     * mode or a single core); exposed for consistency tests.
+     * block of `addr`).  Always zero with a single core, which runs
+     * no directory; exposed for consistency tests.
      */
     std::uint64_t
     directorySharers(Addr addr) const
@@ -196,9 +179,6 @@ class Hierarchy
         auto it = directory_.find(addr & blockMask_);
         return it == directory_.end() ? 0 : it->second;
     }
-
-    /** True when running the RIME_SLOW_SIM reference path. */
-    bool slowMode() const { return slowMode_; }
 
     StatGroup &stats() { return stats_; }
 
@@ -216,37 +196,8 @@ class Hierarchy
 
   private:
     /**
-     * The pre-directory reference pipeline, kept verbatim (plus the
-     * dirty-victim forwarding fix, which applies to both modes) so
-     * equivalence tests and the sim_throughput bench can diff the two.
-     */
-    void
-    slowAccess(unsigned core, Addr addr, bool write)
-    {
-        stats_.inc(write ? "stores" : "loads");
-
-        if (write) {
-            for (unsigned c = 0; c < l1_.size(); ++c) {
-                if (c == core)
-                    continue;
-                if (l1_[c]->invalidate(addr)) {
-                    stats_.inc("coherenceWritebacks");
-                    accessL2(c, addr & blockMask_, true);
-                }
-            }
-        }
-
-        const CacheResult l1r = l1_[core]->access(addr, write);
-        if (l1r.writeback)
-            accessL2(core, l1r.writebackAddr, true);
-        if (l1r.hit)
-            return;
-        accessL2(core, addr, false, write);
-    }
-
-    /**
-     * Invalidate every sharer in `mask` (ascending core order, the
-     * same order the reference broadcast visits), forwarding dirty
+     * Invalidate every sharer in `mask` in ascending core order (the
+     * order a full broadcast would visit them), forwarding dirty
      * victims to L2 as coherence writebacks.
      */
     void
@@ -317,7 +268,6 @@ class Hierarchy
     MemSink sink_;
     std::uint64_t memReads_ = 0;
     std::uint64_t memWrites_ = 0;
-    bool slowMode_ = false;
     bool useDirectory_ = false;
     Addr blockMask_ = 0;
     /** Block address -> per-core L1 presence bits. */

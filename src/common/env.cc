@@ -56,11 +56,4 @@ envU64(const char *name, std::uint64_t fallback)
     return static_cast<std::uint64_t>(parsed);
 }
 
-bool
-slowSimEnabled()
-{
-    static const bool slow = envU64("RIME_SLOW_SIM", 0) != 0;
-    return slow;
-}
-
 } // namespace rime

@@ -35,16 +35,6 @@ double envDouble(const char *name, double fallback);
  */
 std::uint64_t envU64(const char *name, std::uint64_t fallback);
 
-/**
- * True when RIME_SLOW_SIM is set nonzero: the baseline simulation
- * pipeline runs its pre-optimization reference path (string-keyed
- * stat lookups, store-invalidate broadcast, unbatched access
- * delivery).  Used by the equivalence tests and the sim_throughput
- * bench to prove the fast path is bit-identical; parsed once and
- * cached for the process lifetime.
- */
-bool slowSimEnabled();
-
 } // namespace rime
 
 #endif // RIME_COMMON_ENV_HH

@@ -202,7 +202,8 @@ RimeServer::loop()
 
         // The wake pipe breaks this wait the instant any controller
         // completes a future; the timeout is only a safety net.
-        if (poller_.wait(100) < 0)
+        const int ready = poller_.wait(100);
+        if (ready < 0)
             continue;
 
         if (poller_.readable(wake_slot))
@@ -225,14 +226,17 @@ RimeServer::loop()
                 continue;
             }
         }
+        std::size_t replies = 0;
         for (auto &connp : connections_) {
             Connection &conn = *connp;
             if (conn.fd < 0)
                 continue;
-            pumpCompletions(conn);
+            replies += pumpCompletions(conn);
             if (!flush(conn))
                 closeConnection(conn);
         }
+        if (ready == 0 && replies > 0)
+            timeoutWakes_.fetch_add(1, std::memory_order_relaxed);
         std::erase_if(connections_,
                       [](const auto &c) { return c->fd < 0; });
 
@@ -568,9 +572,10 @@ RimeServer::handleMessage(Connection &conn, wire::Message &&msg)
     }
 }
 
-void
+std::size_t
 RimeServer::pumpCompletions(Connection &conn)
 {
+    std::size_t queued = 0;
     // Ready futures can sit anywhere in the queue (several sessions
     // share the connection; rejects complete instantly), so sweep the
     // whole thing -- correlation IDs let the client match them.
@@ -587,7 +592,9 @@ RimeServer::pumpCompletions(Connection &conn)
         reply.resp = it->future.get();
         queueFrame(conn, reply);
         it = conn.inFlight.erase(it);
+        ++queued;
     }
+    return queued;
 }
 
 bool

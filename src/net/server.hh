@@ -121,6 +121,17 @@ class RimeServer
         return protocolErrors_.load(std::memory_order_relaxed);
     }
 
+    /**
+     * Loop iterations that the 100 ms poll safety net woke (no fd was
+     * ready) and that then still found a reply to send: a completion
+     * whose wake was lost.  Must stay 0.
+     */
+    std::uint64_t
+    timeoutWakes() const
+    {
+        return timeoutWakes_.load(std::memory_order_relaxed);
+    }
+
     std::uint64_t
     requestsServed() const
     {
@@ -205,8 +216,11 @@ class RimeServer
     /** Queue an Error message and start closing the connection. */
     void failConnection(Connection &conn, std::uint64_t corr_id,
                         service::wire::WireError error, const std::string &why);
-    /** Encode every ready future of `conn` into its send queue. */
-    void pumpCompletions(Connection &conn);
+    /**
+     * Encode every ready future of `conn` into its send queue;
+     * returns how many replies it queued.
+     */
+    std::size_t pumpCompletions(Connection &conn);
     /** Vectored non-blocking send of queued frames; false = died. */
     bool flush(Connection &conn);
     void closeConnection(Connection &conn);
@@ -234,6 +248,7 @@ class RimeServer
 
     std::atomic<std::uint64_t> accepted_{0};
     std::atomic<std::uint64_t> protocolErrors_{0};
+    std::atomic<std::uint64_t> timeoutWakes_{0};
     std::atomic<std::uint64_t> served_{0};
 };
 

@@ -122,7 +122,7 @@ class RramArray
     }
 
     /**
-     * Stored bits of one row, bypassing the sense-path disturb
+     * Stored bits of one row, skipping the sense-path disturb
      * overlay: the snapshot/state-dump path reads cell state, not a
      * sense, so a transiently disturbed epoch cannot leak a flipped
      * bit into a dump.

@@ -74,7 +74,7 @@ class ArrayUnit
     }
 
     /**
-     * Stored value at a logical row, bypassing the sense-path disturb
+     * Stored value at a logical row, skipping the sense-path disturb
      * overlay (snapshot/state-dump path).
      */
     std::uint64_t

@@ -6,7 +6,7 @@
  * allocations and operation state live in that shard's RimeLibrary),
  * so placement happens once, at session open.  The policy sees a load
  * snapshot of every shard and returns the shard index to pin to; a
- * SessionConfig may bypass the policy entirely with an explicit
+ * SessionConfig may skip the policy entirely with an explicit
  * shard.
  */
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * An array wrapper that reports every element access to an
- * AccessSink, so the baseline algorithms generate real address
+ * An array wrapper that reports every element access through an
+ * AccessBatch, so the baseline algorithms generate real address
  * streams for the cache/memory simulators.
  */
 
@@ -22,20 +22,12 @@ class TracedArray
 {
   public:
     /**
-     * @param data the backing storage
-     * @param base simulated base address of element 0
-     * @param sink access receiver (never null)
-     * @param core issuing core id
-     */
-    TracedArray(std::span<T> data, Addr base, AccessSink *sink,
-                unsigned core = 0)
-        : data_(data), base_(base), sink_(sink), core_(core)
-    {}
-
-    /**
-     * Batched variant: accesses go through `batch` (shared with any
-     * other traced structures of the same kernel, preserving their
-     * global interleaving) instead of straight into the sink.
+     * @param data  the backing storage
+     * @param base  simulated base address of element 0
+     * @param batch access buffer (never null), shared with any other
+     *              traced structures of the same kernel so their
+     *              global interleaving is preserved
+     * @param core  issuing core id
      */
     TracedArray(std::span<T> data, Addr base, AccessBatch *batch,
                 unsigned core = 0)
@@ -49,24 +41,14 @@ class TracedArray
     T
     get(std::size_t i) const
     {
-        if (batch_)
-            batch_->access(core_, base_ + i * sizeof(T),
-                           AccessType::Read);
-        else
-            sink_->access(core_, base_ + i * sizeof(T),
-                          AccessType::Read);
+        batch_->access(core_, base_ + i * sizeof(T), AccessType::Read);
         return data_[i];
     }
 
     void
     set(std::size_t i, T value)
     {
-        if (batch_)
-            batch_->access(core_, base_ + i * sizeof(T),
-                           AccessType::Write);
-        else
-            sink_->access(core_, base_ + i * sizeof(T),
-                          AccessType::Write);
+        batch_->access(core_, base_ + i * sizeof(T), AccessType::Write);
         data_[i] = value;
     }
 
@@ -76,8 +58,7 @@ class TracedArray
   private:
     std::span<T> data_;
     Addr base_;
-    AccessSink *sink_ = nullptr;
-    AccessBatch *batch_ = nullptr;
+    AccessBatch *batch_;
     unsigned core_;
 };
 

@@ -103,24 +103,10 @@ quicksort64Rec(Traced64 &a, std::size_t lo, std::size_t hi,
 
 } // namespace detail
 
-/** Sort packed 64-bit keys in place, reporting accesses to sink. */
-inline Sort64Counts
-tracedQuicksort64(std::vector<std::uint64_t> &keys, Addr base,
-                  sort::AccessSink &sink, unsigned core = 0)
-{
-    Sort64Counts ops;
-    if (keys.size() > 1) {
-        sort::AccessBatch batch(sink);
-        detail::Traced64 a(std::span<std::uint64_t>(keys), base,
-                           &batch, core);
-        detail::quicksort64Rec(a, 0, keys.size(), ops);
-    }
-    return ops;
-}
-
 /**
- * Batched variant: accesses join the caller's batch so the sort's
- * stream keeps its place in the kernel's global access order.
+ * Sort packed 64-bit keys in place.  Accesses join the caller's batch
+ * so the sort's stream keeps its place in the kernel's global access
+ * order.
  */
 inline Sort64Counts
 tracedQuicksort64(std::vector<std::uint64_t> &keys, Addr base,

@@ -1,9 +1,9 @@
 /**
  * @file
  * A binary min-heap over packed 64-bit keys whose every element
- * access is reported to an AccessSink -- the baseline priority queue
- * the paper's CPU workloads use (Dijkstra, Prim, A*, strict priority
- * queuing, heap-based ranking).
+ * access is reported through an AccessBatch -- the baseline priority
+ * queue the paper's CPU workloads use (Dijkstra, Prim, A*, strict
+ * priority queuing, heap-based ranking).
  */
 
 #ifndef RIME_WORKLOADS_TRACED_HEAP_HH
@@ -24,18 +24,11 @@ class TracedHeap
 {
   public:
     /**
-     * @param sink access receiver
-     * @param base simulated base address of the heap storage
-     * @param core issuing core
-     */
-    TracedHeap(sort::AccessSink &sink, Addr base, unsigned core = 0)
-        : sink_(&sink), base_(base), core_(core)
-    {}
-
-    /**
-     * Batched variant: accesses go through `batch` (shared with the
-     * kernel's other traced structures so the global access order is
-     * preserved) instead of straight into the sink.
+     * @param batch access buffer, shared with the kernel's other
+     *              traced structures so the global access order is
+     *              preserved
+     * @param base  simulated base address of the heap storage
+     * @param core  issuing core
      */
     TracedHeap(sort::AccessBatch &batch, Addr base, unsigned core = 0)
         : batch_(&batch), base_(base), core_(core)
@@ -105,26 +98,19 @@ class TracedHeap
     std::uint64_t
     load(std::size_t i)
     {
-        if (batch_)
-            batch_->access(core_, base_ + i * 8, AccessType::Read);
-        else
-            sink_->access(core_, base_ + i * 8, AccessType::Read);
+        batch_->access(core_, base_ + i * 8, AccessType::Read);
         return data_[i];
     }
 
     void
     store(std::size_t i, std::uint64_t value)
     {
-        if (batch_)
-            batch_->access(core_, base_ + i * 8, AccessType::Write);
-        else
-            sink_->access(core_, base_ + i * 8, AccessType::Write);
+        batch_->access(core_, base_ + i * 8, AccessType::Write);
         data_[i] = value;
         ++moves_;
     }
 
-    sort::AccessSink *sink_ = nullptr;
-    sort::AccessBatch *batch_ = nullptr;
+    sort::AccessBatch *batch_;
     Addr base_;
     unsigned core_;
     std::vector<std::uint64_t> data_;

@@ -455,6 +455,9 @@ TEST(WireSession, PipelinedWindowCompletesEveryFuture)
     EXPECT_TRUE(client.closeSession(session));
     EXPECT_EQ(client.protocolErrors(), 0u);
     EXPECT_EQ(client.transportErrors(), 0u);
+    // Every completion woke the loop itself; none waited for the
+    // poll safety net.
+    EXPECT_EQ(server.timeoutWakes(), 0u);
     client.disconnect();
     server.stop();
 }
