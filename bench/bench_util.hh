@@ -17,6 +17,7 @@
 #ifndef RIME_BENCH_BENCH_UTIL_HH
 #define RIME_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -35,6 +36,21 @@
 
 namespace rime::bench
 {
+
+/**
+ * The q-quantile (q in [0, 1]) of `samples`: the sample at rank
+ * floor(q * (n - 1)) after sorting `samples` in place; 0 when empty.
+ */
+inline double
+percentile(std::vector<double> &samples, double q)
+{
+    if (samples.empty())
+        return 0.0;
+    std::sort(samples.begin(), samples.end());
+    const auto idx = static_cast<std::size_t>(
+        q * static_cast<double>(samples.size() - 1));
+    return samples[idx];
+}
 
 /**
  * Ordered writer for the machine-readable BENCH_*.json artifacts.

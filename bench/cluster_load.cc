@@ -35,7 +35,11 @@
  *
  * Phases 1-3 run in-process servers over loopback TCP; wall numbers
  * are host-dependent, the gates are ratios, counters, and simulated
- * time.  RIME_BENCH_SCALE scales op counts.
+ * time.  server_timeout_wakes sums RimeServer::timeoutWakes over those
+ * in-process servers: replies that waited on the event loop's poll
+ * safety net instead of their wake.  It must be 0.  (The chaos
+ * phase's server processes do not export the counter.)
+ * RIME_BENCH_SCALE scales op counts.
  */
 
 #include <algorithm>
@@ -77,16 +81,11 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kKeysPerSession = 4096;
 
-double
-percentile(std::vector<double> &samples, double q)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(samples.size() - 1));
-    return samples[idx];
-}
+/**
+ * RimeServer::timeoutWakes summed over every in-process Instance this
+ * run has torn down (phases 1-3).  Must stay 0.
+ */
+std::uint64_t fleetTimeoutWakes = 0;
 
 /** One in-process cluster member. */
 struct Instance
@@ -94,6 +93,12 @@ struct Instance
     std::unique_ptr<RimeService> service;
     std::unique_ptr<RimeServer> server;
     std::string endpoint;
+
+    ~Instance()
+    {
+        server->stop();
+        fleetTimeoutWakes += server->timeoutWakes();
+    }
 
     Instance()
     {
@@ -796,6 +801,9 @@ main()
         (chaos.duplicates == 0 && chaos.foreign == 0 &&
          chaos.missing == 0 && chaos.lostSessions == 0);
     const bool chaosRejectsOk = !chaos.ran || chaos.rejectRate < 0.01;
+    std::printf("server timeout wakes (in-process fleet): %llu%s\n",
+                static_cast<unsigned long long>(fleetTimeoutWakes),
+                fleetTimeoutWakes == 0 ? "" : " (must be 0)");
 
     std::ostringstream arr;
     arr << "[\n";
@@ -861,6 +869,7 @@ main()
         .raw("chaos", chaosJson.str())
         .field("chaos_zero_committed_loss", chaosZeroLoss)
         .field("chaos_rejects_ok", chaosRejectsOk)
+        .field("server_timeout_wakes", fleetTimeoutWakes)
         .write("BENCH_cluster.json");
     return 0;
 }

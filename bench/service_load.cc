@@ -82,17 +82,6 @@ struct ClientResult
     std::vector<double> queueNs;
 };
 
-double
-percentile(std::vector<double> &samples, double q)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(samples.size() - 1));
-    return samples[idx];
-}
-
 /** Table-I RIME with a second channel: the multi-channel config. */
 LibraryConfig
 multiChannelRime()

@@ -79,17 +79,6 @@ constexpr std::uint64_t kKeysPerRange = 4096;
 constexpr std::uint64_t kTopK = 64;
 constexpr std::size_t kMaxDepth = 8;
 
-double
-percentile(std::vector<double> &samples, double q)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(samples.size() - 1));
-    return samples[idx];
-}
-
 struct RunResult
 {
     std::uint64_t served = 0;

@@ -36,13 +36,7 @@ readyResponse(ServiceStatus status, RejectReason reason)
 std::future<Response>
 ClusterSession::submit(Request req)
 {
-    return router_.submit(state_, std::move(req), nullptr);
-}
-
-std::future<Response>
-ClusterSession::submit(Request req, std::function<void()> notify)
-{
-    return router_.submit(state_, std::move(req), std::move(notify));
+    return router_.submit(state_, std::move(req));
 }
 
 void
@@ -198,8 +192,7 @@ ClusterRouter::openSession(const ClusterSessionConfig &cfg)
 
 std::future<Response>
 ClusterRouter::submit(
-    const std::shared_ptr<ClusterSession::State> &state, Request req,
-    std::function<void()> notify)
+    const std::shared_ptr<ClusterSession::State> &state, Request req)
 {
     // The lock spans the check and the wire write, so a failover
     // cannot interleave: either the request is on the old instance's
@@ -228,11 +221,9 @@ ClusterRouter::submit(
     Member *mp = &m;
     return m.client->submit(
         state->remoteId, std::move(req),
-        [admission, mp, hook = std::move(notify)] {
+        [admission, mp] {
             admission->release();
             mp->inFlight.fetch_sub(1, std::memory_order_relaxed);
-            if (hook)
-                hook();
         });
 }
 

@@ -43,7 +43,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -95,9 +94,6 @@ class ClusterSession
      * otherwise the request is pipelined to the owning instance.
      */
     std::future<service::Response> submit(service::Request req);
-
-    std::future<service::Response>
-    submit(service::Request req, std::function<void()> notify);
 
     service::Response
     call(service::Request req)
@@ -226,7 +222,7 @@ class ClusterRouter
 
     std::future<service::Response>
     submit(const std::shared_ptr<ClusterSession::State> &state,
-           service::Request req, std::function<void()> notify);
+           service::Request req);
     void
     closeSession(const std::shared_ptr<ClusterSession::State> &state);
 

@@ -4,8 +4,8 @@
  *
  * The serving layer's per-shard submission queue: any number of
  * client threads push, exactly one controller thread pops.  The data
- * path never blocks a producer -- tryPush() fails immediately when
- * the queue is full, which the service turns into an explicit
+ * path never blocks a producer -- tryPushBatch() takes what fits and
+ * returns at once, and the service turns the rest into an explicit
  * backpressure rejection.  pushBlocking() exists for rare control
  * messages (session open/close) whose loss would wedge the scheduler;
  * it may wait for the consumer to drain but is never used on the
@@ -52,29 +52,12 @@ class BoundedQueue
     }
 
     /**
-     * Append an item unless the queue is full or closed.
-     * @return false on a full or closed queue (the item is untouched
-     *         and the caller sheds load); true when enqueued
-     */
-    bool
-    tryPush(T &&item)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_ || items_.size() >= capacity_)
-                return false;
-            items_.push_back(std::move(item));
-        }
-        consumerCv_.notify_one();
-        return true;
-    }
-
-    /**
      * Append as many items of `batch` (in order, from the front) as
      * the remaining capacity takes, under one lock and with one
-     * consumer wakeup -- the batched submit path's single hand-off.
-     * Accepted items are moved from; the rejected suffix is left
-     * untouched for the caller to shed.
+     * consumer wakeup -- the data path's only hand-off (a single
+     * request is a one-element batch).  Accepted items are moved
+     * from; the rejected suffix is left untouched for the caller to
+     * shed.
      * @return how many items were enqueued (0 on a full/closed queue)
      */
     template <typename Container>

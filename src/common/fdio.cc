@@ -5,6 +5,7 @@
 #include <climits>
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 namespace rime
@@ -13,8 +14,22 @@ namespace rime
 namespace fdio_detail
 {
 
+namespace
+{
+
+ssize_t
+sendvNoSignal(int fd, const struct iovec *iov, int iovcnt)
+{
+    msghdr mh{};
+    mh.msg_iov = const_cast<struct iovec *>(iov);
+    mh.msg_iovlen = static_cast<std::size_t>(iovcnt);
+    return ::sendmsg(fd, &mh, MSG_NOSIGNAL);
+}
+
+} // namespace
+
 WriteFn writeShim = &::write;
-WritevFn writevShim = &::writev;
+SendvFn sendvShim = &sendvNoSignal;
 
 } // namespace fdio_detail
 
@@ -40,7 +55,7 @@ writeFully(int fd, const void *data, std::size_t size)
 }
 
 bool
-writevFully(int fd, struct iovec *iov, int iovcnt)
+sendvFully(int fd, struct iovec *iov, int iovcnt)
 {
     int at = 0;
     while (at < iovcnt) {
@@ -50,11 +65,11 @@ writevFully(int fd, struct iovec *iov, int iovcnt)
             ++at;
             continue;
         }
-        // Chunk the vector to what one writev accepts; the outer loop
+        // Chunk the vector to what one sendmsg accepts; the outer loop
         // resumes with the rest.
         const int take_cnt =
             std::min(iovcnt - at, static_cast<int>(IOV_MAX));
-        ssize_t n = fdio_detail::writevShim(fd, iov + at, take_cnt);
+        ssize_t n = fdio_detail::sendvShim(fd, iov + at, take_cnt);
         if (n < 0) {
             if (errno == EINTR)
                 continue;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Robust file-descriptor I/O shared by the durability layer (journal
- * appends, snapshot publication) and the wire layer (socket sends).
+ * appends, snapshot publication) and the wire client (socket sends).
  *
  * POSIX write() may legally transfer fewer bytes than asked -- on
  * signals (EINTR), on pipes and sockets, and even on regular files on
@@ -10,9 +10,11 @@
  * helpers resume partial transfers and retry EINTR, failing only on
  * real errors (disk full, closed socket, ...).
  *
- * The `writeShim` hook lets tests inject partial writes and EINTR
- * without a real slow device: the regression tests for the journal
- * short-write fix point it at a shim that dribbles one byte per call.
+ * The `writeShim` and `sendvShim` hooks let tests inject partial
+ * writes, EINTR and stalls without a real slow device: the regression
+ * tests for the journal short-write fix point `writeShim` at a shim
+ * that dribbles one byte per call, and the client's reset and
+ * fd-reuse tests hold a send inside `sendvShim`.
  */
 
 #ifndef RIME_COMMON_FDIO_HH
@@ -38,10 +40,14 @@ namespace fdio_detail
 using WriteFn = ssize_t (*)(int fd, const void *buf, std::size_t len);
 extern WriteFn writeShim;
 
-/** Overridable writev(2) entry point (same contract as writeShim). */
-using WritevFn = ssize_t (*)(int fd, const struct iovec *iov,
-                             int iovcnt);
-extern WritevFn writevShim;
+/**
+ * Overridable vectored socket send (same contract as writeShim).
+ * Defaults to sendmsg(2) with MSG_NOSIGNAL, so a peer reset fails
+ * the call with EPIPE instead of raising SIGPIPE.
+ */
+using SendvFn = ssize_t (*)(int fd, const struct iovec *iov,
+                            int iovcnt);
+extern SendvFn sendvShim;
 
 } // namespace fdio_detail
 
@@ -54,14 +60,16 @@ extern WritevFn writevShim;
 bool writeFully(int fd, const void *data, std::size_t size);
 
 /**
- * Scatter-gather variant of writeFully: ship every byte described by
- * `iov[0..iovcnt)` with as few writev(2) calls as the kernel allows,
- * resuming short writes (including ones that end mid-buffer) and
- * retrying EINTR.  The iovec array is consumed and may be mutated;
- * callers rebuild it per call.  Returns true when every byte landed;
- * false on a real error (errno preserved).
+ * Scatter-gather socket variant of writeFully: ship every byte
+ * described by `iov[0..iovcnt)` to socket `fd` with as few
+ * sendmsg(2) calls as the kernel allows, resuming short sends
+ * (including ones that end mid-buffer) and retrying EINTR.  Sends
+ * with MSG_NOSIGNAL: a reset peer is a false return with errno
+ * EPIPE, never a SIGPIPE.  The iovec array is consumed and may be
+ * mutated; callers rebuild it per call.  Returns true when every byte
+ * landed; false on a real error (errno preserved).
  */
-bool writevFully(int fd, struct iovec *iov, int iovcnt);
+bool sendvFully(int fd, struct iovec *iov, int iovcnt);
 
 /**
  * fsync the directory containing `path` (so a rename or create inside

@@ -113,94 +113,66 @@ RimeClient::disconnect()
         std::lock_guard<std::mutex> lock(mutex_);
         fd = fd_;
         fd_ = -1;
+        ++generation_;
         stopReader_.store(true, std::memory_order_release);
         reader = std::move(reader_);
     }
+    // shutdown first: it fails a send blocked on a full socket buffer
+    // and unblocks the reader's poll/recv.
     if (fd >= 0)
-        ::shutdown(fd, SHUT_RDWR); // unblocks the reader's poll/recv
+        ::shutdown(fd, SHUT_RDWR);
     if (reader.joinable())
         reader.join();
-    if (fd >= 0)
+    if (fd >= 0) {
+        // Close under the write lock: a writer that captured `fd` has
+        // either finished, or will find the generation moved on and
+        // skip -- its frame never lands in a reused descriptor.
+        std::lock_guard<std::mutex> lock(sendMutex_);
         ::close(fd);
+    }
     failAllPending();
+}
+
+bool
+RimeClient::writeFrames(int fd, std::uint64_t generation,
+                        std::vector<std::vector<std::uint8_t>> &frames)
+{
+    std::vector<struct iovec> iov(frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        iov[i].iov_base = frames[i].data();
+        iov[i].iov_len = frames[i].size();
+    }
+    std::lock_guard<std::mutex> lock(sendMutex_);
+    if (generation_ != generation)
+        return false; // `fd` was disconnected (and may be reused)
+    return sendvFully(fd, iov.data(), static_cast<int>(iov.size()));
 }
 
 bool
 RimeClient::sendMessage(const wire::Message &msg)
 {
     int fd = -1;
+    std::uint64_t generation = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (fd_ < 0 || stopReader_.load(std::memory_order_acquire))
             return false;
         fd = fd_;
+        generation = generation_;
     }
-    std::vector<std::uint8_t> framed;
-    wire::encodeMessage(framed, msg);
-    std::lock_guard<std::mutex> lock(sendMutex_);
-    return writeFully(fd, framed.data(), framed.size());
-}
-
-std::future<Response>
-RimeClient::submit(std::uint64_t session, service::Request req)
-{
-    return submit(session, std::move(req), nullptr);
+    std::vector<std::vector<std::uint8_t>> frames(1);
+    wire::encodeMessage(frames.front(), msg);
+    return writeFrames(fd, generation, frames);
 }
 
 std::future<Response>
 RimeClient::submit(std::uint64_t session, service::Request req,
                    std::function<void()> notify)
 {
-    const std::uint64_t corr =
-        nextCorrId_.fetch_add(1, std::memory_order_relaxed);
-    std::promise<Response> promise;
-    auto future = promise.get_future();
-    bool dead = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (fd_ < 0 || stopReader_.load(std::memory_order_acquire)) {
-            dead = true;
-        } else {
-            pendingResponses_.emplace(
-                corr, PendingResponse{std::move(promise),
-                                      std::move(notify)});
-        }
-    }
-    if (dead) {
-        transportErrors_.fetch_add(1, std::memory_order_relaxed);
-        auto ready = readyClosed();
-        if (notify)
-            notify(); // the future is already ready
-        return ready;
-    }
-
-    wire::Message msg;
-    msg.kind = wire::MessageKind::Request;
-    msg.corrId = corr;
-    msg.sessionId = session;
-    msg.req = std::move(req);
-    if (!sendMessage(msg)) {
-        PendingResponse orphan;
-        bool mine = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = pendingResponses_.find(corr);
-            if (it != pendingResponses_.end()) {
-                orphan = std::move(it->second);
-                pendingResponses_.erase(it);
-                mine = true;
-            }
-        }
-        if (mine) {
-            transportErrors_.fetch_add(1, std::memory_order_relaxed);
-            Response r;
-            r.status = ServiceStatus::Closed;
-            orphan.promise.set_value(std::move(r));
-            if (orphan.notify)
-                orphan.notify();
-        }
-    }
-    return future;
+    std::vector<service::Request> one;
+    one.push_back(std::move(req));
+    return std::move(
+        submitBatch(session, std::move(one), std::move(notify)).front());
 }
 
 std::vector<std::future<Response>>
@@ -210,21 +182,18 @@ RimeClient::submitBatch(std::uint64_t session,
 {
     std::vector<std::future<Response>> out;
     out.reserve(reqs.size());
-    if (reqs.empty())
-        return out;
 
     // Register every waiter under one lock, then frame every request
-    // back to back so a single write carries the whole burst.
+    // back to back so a single send carries the whole burst.
     std::vector<std::uint64_t> corrs;
     corrs.reserve(reqs.size());
     int fd = -1;
-    bool dead = false;
+    std::uint64_t generation = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (fd_ < 0 || stopReader_.load(std::memory_order_acquire)) {
-            dead = true;
-        } else {
+        if (fd_ >= 0 && !stopReader_.load(std::memory_order_acquire)) {
             fd = fd_;
+            generation = generation_;
             for (std::size_t i = 0; i < reqs.size(); ++i) {
                 const std::uint64_t corr = nextCorrId_.fetch_add(
                     1, std::memory_order_relaxed);
@@ -237,7 +206,7 @@ RimeClient::submitBatch(std::uint64_t session,
             }
         }
     }
-    if (dead) {
+    if (fd < 0) {
         transportErrors_.fetch_add(reqs.size(),
                                    std::memory_order_relaxed);
         for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -248,29 +217,16 @@ RimeClient::submitBatch(std::uint64_t session,
         return out;
     }
 
-    std::vector<std::vector<std::uint8_t>> frames;
-    frames.reserve(reqs.size());
+    std::vector<std::vector<std::uint8_t>> frames(reqs.size());
     for (std::size_t i = 0; i < reqs.size(); ++i) {
         wire::Message msg;
         msg.kind = wire::MessageKind::Request;
         msg.corrId = corrs[i];
         msg.sessionId = session;
         msg.req = std::move(reqs[i]);
-        frames.emplace_back();
-        wire::encodeMessage(frames.back(), msg);
+        wire::encodeMessage(frames[i], msg);
     }
-    std::vector<struct iovec> iov(frames.size());
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        iov[i].iov_base = frames[i].data();
-        iov[i].iov_len = frames[i].size();
-    }
-    bool sent;
-    {
-        std::lock_guard<std::mutex> lock(sendMutex_);
-        sent = writevFully(fd, iov.data(),
-                           static_cast<int>(iov.size()));
-    }
-    if (!sent) {
+    if (!writeFrames(fd, generation, frames)) {
         // Withdraw whichever waiters the reader has not already
         // completed and fail them in place.
         std::vector<PendingResponse> orphans;

@@ -3,13 +3,16 @@
  * RimeClient: the remote-session library over the wire protocol.
  *
  * One client owns one connection (TCP or Unix-domain) and a reader
- * thread.  Requests are pipelined: submit() assigns a correlation ID,
- * frames the request, writes it out, and returns a
- * std::future<Response> immediately -- any number can be in flight,
- * and the reader completes each future as its Response frame arrives
- * (out-of-order completions are matched by correlation ID).  call()
- * is the synchronous submit+wait convenience, mirroring
- * service::Session::call.
+ * thread.  Requests are pipelined: submitBatch() (and submit(), its
+ * one-element form) assigns each request a correlation ID, frames
+ * them, writes them out with one send, and returns a
+ * std::future<Response> per request immediately -- any number can be
+ * in flight, and the reader completes each future as its Response
+ * frame arrives (out-of-order completions are matched by correlation
+ * ID).  call() is the synchronous submit+wait convenience, mirroring
+ * service::Session::call.  Data and admin messages share one socket
+ * write (writeFrames), sent with MSG_NOSIGNAL: a peer reset mid-frame
+ * is a transport error, never a SIGPIPE.
  *
  * Failure model: connect() retries with bounded exponential backoff
  * and a per-attempt timeout; a read timeout with requests in flight,
@@ -135,35 +138,28 @@ class RimeClient
     std::string statDump(bool include_host = false);
 
     /**
-     * Pipeline one request on `session`.  The future completes when
-     * the Response frame arrives (status Closed on transport error).
+     * Pipeline several requests on `session` with one socket write --
+     * the only data submission path: every frame is encoded back to
+     * back and shipped with a single send, so the server's reader
+     * sees (and hands the shard) the whole burst at once.  Returns
+     * one future per request, in request order; each completes when
+     * its Response frame arrives (status Closed on transport error).
      * Thread-safe; any number may be in flight.
-     */
-    std::future<service::Response> submit(std::uint64_t session,
-                                          service::Request req);
-
-    /**
-     * Submit with a completion hook: `notify` runs exactly once, when
-     * the future becomes ready -- on the reader thread for a normal
-     * Response, on the failing thread for transport errors, and
-     * synchronously (before return) when the connection is already
-     * dead.  Must be cheap and non-blocking.
-     */
-    std::future<service::Response> submit(std::uint64_t session,
-                                          service::Request req,
-                                          std::function<void()> notify);
-
-    /**
-     * Pipeline several requests on `session` with one socket write:
-     * every frame is encoded back to back and shipped with a single
-     * writeFully, so the server's reader sees (and hands the shard)
-     * the whole burst at once.  Returns one future per request in
-     * request order; `notify` (optional) is installed on each, with
-     * submit(notify)'s semantics.  On a dead connection or send
-     * failure every returned future is already (or becomes) Closed.
+     *
+     * `notify` (optional) is installed on every request and runs
+     * exactly once per request, when its future becomes ready -- on
+     * the reader thread for a normal Response, on the failing thread
+     * for transport errors, and synchronously (before return) when
+     * the connection is already dead.  Must be cheap and
+     * non-blocking.
      */
     std::vector<std::future<service::Response>> submitBatch(
         std::uint64_t session, std::vector<service::Request> reqs,
+        std::function<void()> notify = nullptr);
+
+    /** Pipeline one request: a one-element submitBatch. */
+    std::future<service::Response> submit(
+        std::uint64_t session, service::Request req,
         std::function<void()> notify = nullptr);
 
     /** submit + wait. */
@@ -210,6 +206,15 @@ class RimeClient
     bool connectOnce();
     /** Frame + write one message; false on a dead/broken socket. */
     bool sendMessage(const service::wire::Message &msg);
+    /**
+     * The client's one socket write: ship `frames` back to back with
+     * a single sendvFully (MSG_NOSIGNAL: a reset peer is a false
+     * return, never SIGPIPE) under sendMutex_.  Sends nothing and
+     * returns false unless connection `generation`, captured with
+     * `fd`, is still the live one.
+     */
+    bool writeFrames(int fd, std::uint64_t generation,
+                     std::vector<std::vector<std::uint8_t>> &frames);
     /** Synchronous admin round-trip; false on failure/timeout. */
     bool adminCall(service::wire::Message &msg,
                    service::wire::MessageKind expect_kind,
@@ -224,8 +229,15 @@ class RimeClient
     Endpoint endpoint_;
 
     mutable std::mutex mutex_;     ///< fd_/maps/reader lifecycle
-    std::mutex sendMutex_;         ///< serializes socket writes
+    /** Serializes socket writes; disconnect() closes fd_ under it. */
+    std::mutex sendMutex_;
     int fd_ = -1;
+    /**
+     * Connection generation: bumped (under mutex_) by every
+     * disconnect(), which connectOnce() runs first, so each connection
+     * has its own value.  fd numbers are reused; generations are not.
+     */
+    std::atomic<std::uint64_t> generation_{0};
     std::thread reader_;
     std::atomic<bool> stopReader_{false};
     bool everConnected_ = false;

@@ -351,19 +351,11 @@ RimeServer::flushRequestBatch(Connection &conn)
     // response is ready; the shared_ptr keeps the pipe alive past
     // server teardown (the service drains its tail late).
     std::shared_ptr<WakePipe> wake = wake_;
-    if (conn.batchReqs.size() == 1) {
-        auto future = it->second->submit(
-            std::move(conn.batchReqs.front()),
-            [wake] { wake->wake(); });
+    auto futures = it->second->submitBatch(
+        std::move(conn.batchReqs), [wake] { wake->wake(); });
+    for (std::size_t i = 0; i < futures.size(); ++i) {
         conn.inFlight.push_back(Connection::InFlight{
-            conn.batchCorrIds.front(), std::move(future)});
-    } else {
-        auto futures = it->second->submitBatch(
-            std::move(conn.batchReqs), [wake] { wake->wake(); });
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-            conn.inFlight.push_back(Connection::InFlight{
-                conn.batchCorrIds[i], std::move(futures[i])});
-        }
+            conn.batchCorrIds[i], std::move(futures[i])});
     }
     conn.batchReqs.clear();
     conn.batchCorrIds.clear();

@@ -7,9 +7,9 @@
  * frames off each connection's read buffer with the journal-proven
  * readFrame (Truncated = wait for more bytes, Corrupt = protocol
  * error), decodes wire messages, and dispatches Requests straight
- * onto the existing per-shard MPSC queues via Session::submit -- the
- * device-side controller threads never block on the network, and the
- * event loop never blocks on the device.
+ * onto the existing per-shard MPSC queues via Session::submitBatch --
+ * the device-side controller threads never block on the network, and
+ * the event loop never blocks on the device.
  *
  * Completion is push, not poll: every submit installs a notify hook
  * that fires on the controller thread the instant the future is
@@ -23,12 +23,13 @@
  *
  * The read side batches symmetrically: consecutive Request frames
  * decoded from one read burst that target the same session are handed
- * to the shard as ONE Session::submitBatch call -- one queue lock,
- * one controller wakeup for the whole burst, which is what lets the
- * shard's group commit amortize its journal fsync across them.  Any
- * non-Request message (or a Request for a different session) first
- * flushes the pending batch, so cross-message ordering on a
- * connection is exactly submission order.
+ * to the shard as ONE Session::submitBatch call (a lone Request is a
+ * one-element batch) -- one queue lock, one controller wakeup for the
+ * whole burst, which is what lets the shard's group commit amortize
+ * its journal fsync across them.  Any non-Request message (or a
+ * Request for a different session) first flushes the pending batch,
+ * so cross-message ordering on a connection is exactly submission
+ * order.
  *
  * Sessions are connection-scoped: OpenSession binds a RimeService
  * session to the connection, and a disconnect (or protocol error)

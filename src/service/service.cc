@@ -57,44 +57,9 @@ Session::ready(ServiceStatus status, RejectReason reason)
 std::future<Response>
 Session::submit(Request req)
 {
-    return submit(std::move(req), nullptr);
-}
-
-std::future<Response>
-Session::submit(Request req, std::function<void()> notify)
-{
-    if (state_->clientClosing.load(std::memory_order_acquire) ||
-        serviceAlive_.expired()) {
-        return ready(ServiceStatus::Closed, RejectReason::None);
-    }
-
-    ShardController *shard = controller();
-
-    // Claim an in-flight slot; over quota is shed *here*, before the
-    // request can occupy shard queue space.
-    if (state_->inFlight.fetch_add(1, std::memory_order_acq_rel) >=
-        state_->maxInFlight) {
-        state_->inFlight.fetch_sub(1, std::memory_order_release);
-        shard->countQuotaReject();
-        return ready(ServiceStatus::Rejected,
-                     RejectReason::QuotaExceeded);
-    }
-
-    SessionState::Pending pending;
-    pending.control = SessionState::Pending::Control::Data;
-    pending.req = std::move(req);
-    pending.session = state_;
-    pending.notify = std::move(notify);
-    pending.enqueued = std::chrono::steady_clock::now();
-    auto future = pending.promise.get_future();
-    if (!shard->submitData(std::move(pending))) {
-        // Queue full: the slot goes back and the caller learns
-        // immediately.  Nothing ever blocks waiting for the device.
-        state_->inFlight.fetch_sub(1, std::memory_order_release);
-        return ready(ServiceStatus::Rejected,
-                     RejectReason::Backpressure);
-    }
-    return future;
+    std::vector<Request> one;
+    one.push_back(std::move(req));
+    return std::move(submitBatch(std::move(one)).front());
 }
 
 std::vector<std::future<Response>>
@@ -113,7 +78,8 @@ Session::submitBatch(std::vector<Request> reqs,
 
     ShardController *shard = controller();
 
-    // Per-request quota claims, one batch for everything accepted.
+    // Per-request quota claims: over quota is shed *here*, before the
+    // request can occupy shard queue space.
     std::vector<SessionState::Pending> batch;
     batch.reserve(reqs.size());
     const auto now = std::chrono::steady_clock::now();
@@ -136,8 +102,9 @@ Session::submitBatch(std::vector<Request> reqs,
         batch.push_back(std::move(pending));
     }
 
-    // One queue lock, one consumer wakeup for the accepted prefix;
-    // the overflow suffix is shed exactly like a failed submitData.
+    // One queue lock, one consumer wakeup for the accepted prefix.
+    // Queue full: the overflow suffix's slots go back and the caller
+    // learns immediately.  Nothing ever blocks waiting for the device.
     const std::size_t accepted =
         batch.empty() ? 0 : shard->submitDataBatch(batch);
     for (std::size_t i = accepted; i < batch.size(); ++i) {

@@ -70,33 +70,27 @@ class Session
     unsigned shard() const { return state_->shard; }
 
     /**
-     * Submit one request.  Always returns a valid future; shed or
-     * post-close submissions complete immediately (status Rejected or
-     * Closed) without touching the shard queue.
-     */
-    std::future<Response> submit(Request req);
-
-    /**
-     * Submit with a completion hook: `notify` runs right after the
-     * future becomes ready, on the completing (controller) thread.
-     * For immediately-shed submissions the returned future is already
-     * ready and `notify` is NOT invoked -- callers driving an event
-     * loop must poll the future once after submit.  The hook must be
-     * cheap and non-blocking (it runs inside the serve path).
-     */
-    std::future<Response> submit(Request req,
-                                 std::function<void()> notify);
-
-    /**
      * Submit several requests with one shard queue lock and one
-     * controller wakeup (the wire server's whole-read hand-off).
-     * Returns one future per request, in request order; shed entries
-     * (quota, backpressure, closed) are already ready, and -- as with
-     * submit(notify) -- their `notify` is NOT invoked.  The same
-     * `notify` hook is installed on every accepted request.
+     * controller wakeup -- the only submission path.  Returns one
+     * future per request, in request order.  Each request claims its
+     * own in-flight slot: over-quota entries are Rejected/
+     * QuotaExceeded in place, and whatever the shard queue cannot
+     * take is shed as a Rejected/Backpressure suffix.  Shed or
+     * post-close entries (status Rejected or Closed) are already
+     * ready and never touch the shard queue.
+     *
+     * `notify` (optional) is installed on every accepted request and
+     * runs right after its future becomes ready, on the completing
+     * (controller) thread.  It is NOT invoked for shed entries --
+     * callers driving an event loop must poll those futures once
+     * after submit.  The hook must be cheap and non-blocking (it
+     * runs inside the serve path).
      */
     std::vector<std::future<Response>> submitBatch(
-        std::vector<Request> reqs, std::function<void()> notify);
+        std::vector<Request> reqs, std::function<void()> notify = nullptr);
+
+    /** Submit one request: a one-element submitBatch. */
+    std::future<Response> submit(Request req);
 
     /** submit + wait: the synchronous convenience form. */
     Response call(Request req) { return submit(std::move(req)).get(); }

@@ -210,17 +210,6 @@ ShardController::registerSession(std::shared_ptr<SessionState> session)
     sessions_.push_back(std::move(session));
 }
 
-bool
-ShardController::submitData(Pending &&pending)
-{
-    if (!inbox_.tryPush(std::move(pending))) {
-        rejectedBackpressure_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    inboxDepth_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
 std::size_t
 ShardController::submitDataBatch(std::vector<Pending> &batch)
 {

@@ -6,8 +6,8 @@
  * The controller thread is the *only* thread that ever touches the
  * shard's RimeLibrary, so the shard's simulated clock advances only
  * there (the library's controller-affinity guard enforces this).
- * Client threads interact exclusively through the queue: tryPush on
- * the data path (full queue => the caller sheds the request with
+ * Client threads interact exclusively through the queue: tryPushBatch
+ * on the data path (what does not fit is shed by the caller with
  * Rejected/Backpressure, the device is never blocked), pushBlocking
  * only for the tiny close control message.
  *
@@ -235,14 +235,11 @@ class ShardController
     /** Pin a session to this shard (called at session open). */
     void registerSession(std::shared_ptr<SessionState> session);
 
-    /** Data-path submit: false when the queue is full (shed load). */
-    bool submitData(Pending &&pending);
-
     /**
-     * Data-path batch submit: push a prefix of `batch` with one queue
-     * lock and one consumer wakeup (the wire server's whole-read
-     * hand-off).  Returns how many were accepted; the caller sheds
-     * the rejected suffix with Rejected/Backpressure.
+     * Data-path submit, the only one: push a prefix of `batch` with
+     * one queue lock and one consumer wakeup.  Returns how many were
+     * accepted; the caller sheds the rejected suffix with
+     * Rejected/Backpressure.
      */
     std::size_t submitDataBatch(std::vector<Pending> &batch);
 

@@ -82,18 +82,27 @@ fastServiceConfig(unsigned shards)
 // Foundations: the bounded MPSC queue and the shared thread pool.
 // ---------------------------------------------------------------------
 
-TEST(BoundedQueue, FifoTryPushAndCapacity)
+TEST(BoundedQueue, FifoTryPushBatchAndCapacity)
 {
     BoundedQueue<int> q(3);
     EXPECT_EQ(q.capacity(), 3u);
-    EXPECT_TRUE(q.tryPush(1));
-    EXPECT_TRUE(q.tryPush(2));
-    EXPECT_TRUE(q.tryPush(3));
-    EXPECT_FALSE(q.tryPush(4)) << "push beyond capacity must shed";
+    std::vector<int> first{1, 2};
+    EXPECT_EQ(q.tryPushBatch(first), 2u);
+
+    // A batch larger than the remaining capacity: the prefix that fits
+    // is enqueued, the suffix is left untouched for the caller to shed.
+    std::vector<int> over{3, 4, 5};
+    EXPECT_EQ(q.tryPushBatch(over), 1u);
+    EXPECT_EQ(over[1], 4);
+    EXPECT_EQ(over[2], 5);
     EXPECT_EQ(q.size(), 3u);
+    std::vector<int> full{4};
+    EXPECT_EQ(q.tryPushBatch(full), 0u)
+        << "push beyond capacity must shed";
+
     EXPECT_EQ(q.pop(), 1);
     EXPECT_EQ(q.pop(), 2);
-    EXPECT_TRUE(q.tryPush(4));
+    EXPECT_EQ(q.tryPushBatch(full), 1u);
     EXPECT_EQ(q.pop(), 3);
     EXPECT_EQ(q.pop(), 4);
     EXPECT_EQ(q.tryPop(), std::nullopt);
@@ -103,10 +112,12 @@ TEST(BoundedQueue, CloseDrainsTailThenReportsShutdown)
 {
     BoundedQueue<int> q(4);
     EXPECT_TRUE(q.pushBlocking(7));
-    EXPECT_TRUE(q.tryPush(8));
+    std::vector<int> eight{8};
+    EXPECT_EQ(q.tryPushBatch(eight), 1u);
     q.close();
     EXPECT_TRUE(q.closed());
-    EXPECT_FALSE(q.tryPush(9));
+    std::vector<int> nine{9};
+    EXPECT_EQ(q.tryPushBatch(nine), 0u);
     EXPECT_FALSE(q.pushBlocking(9));
     EXPECT_EQ(q.pop(), 7);
     EXPECT_EQ(q.pop(), 8);
@@ -116,7 +127,8 @@ TEST(BoundedQueue, CloseDrainsTailThenReportsShutdown)
 TEST(BoundedQueue, BlockingPopAndPushHandOff)
 {
     BoundedQueue<int> q(1);
-    ASSERT_TRUE(q.tryPush(1));
+    std::vector<int> one{1};
+    ASSERT_EQ(q.tryPushBatch(one), 1u);
 
     // A producer blocked on a full queue completes once the consumer
     // makes room.
@@ -614,6 +626,93 @@ TEST(ServiceQuota, InFlightCapRejectsImmediately)
     EXPECT_TRUE(b.get().ok());
     // Completions release quota slots: submitting again succeeds.
     EXPECT_TRUE(session->health().get().ok());
+    session->close();
+}
+
+TEST(ServiceBatch, StraddlesQuotaAndQueueCapacityInOrder)
+{
+    // One batch crosses both shed lines at once: the in-flight cap
+    // (QuotaExceeded, per request) and the shard queue's capacity
+    // (the Backpressure suffix of what the quota admitted).  Parked
+    // lockstep controller, so the queue fills synchronously.
+    constexpr unsigned kCap = 5;
+    ServiceConfig cfg = fastServiceConfig(1);
+    cfg.scheduler.deterministic = true;
+    cfg.scheduler.queueCapacity = 4;
+    RimeService svc(std::move(cfg));
+    auto session = svc.openSession({.maxInFlight = kCap});
+
+    // One request ahead of the batch: 1 slot and 1 queue entry used.
+    auto before = session->health();
+
+    Request malloc_req;
+    malloc_req.kind = RequestKind::Malloc;
+    malloc_req.bytes = 4096;
+    Request health_req;
+    health_req.kind = RequestKind::Health;
+    // Quota admits 4 (indices 0-3) and rejects 4-6; the queue takes 3
+    // of the admitted (0-2) and sheds 3.
+    std::vector<Request> reqs{malloc_req, health_req, malloc_req,
+                              malloc_req, malloc_req, malloc_req,
+                              malloc_req};
+    std::atomic<unsigned> fired{0};
+    auto futures = session->submitBatch(
+        std::move(reqs), [&fired] { fired.fetch_add(1); });
+    ASSERT_EQ(futures.size(), 7u);
+
+    const auto shedAs = [](std::future<Response> &f,
+                           RejectReason reason) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+        const Response r = f.get();
+        EXPECT_EQ(r.status, ServiceStatus::Rejected);
+        EXPECT_EQ(r.reject, reason);
+    };
+    shedAs(futures[3], RejectReason::Backpressure);
+    for (std::size_t i = 4; i < futures.size(); ++i)
+        shedAs(futures[i], RejectReason::QuotaExceeded);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+                  std::future_status::timeout)
+            << "accepted request " << i << " completed while parked";
+    }
+    EXPECT_EQ(fired.load(), 0u) << "shed requests never notify";
+
+    // Served in request order: the Health between the two Mallocs sees
+    // exactly the first one's bytes.
+    svc.start();
+    const Response h0 = before.get();
+    ASSERT_TRUE(h0.ok());
+    EXPECT_EQ(h0.allocatedBytes, 0u);
+    const Response m0 = futures[0].get();
+    const Response h1 = futures[1].get();
+    const Response m2 = futures[2].get();
+    ASSERT_TRUE(m0.ok());
+    ASSERT_TRUE(h1.ok());
+    ASSERT_TRUE(m2.ok());
+    EXPECT_GT(h1.allocatedBytes, 0u);
+    EXPECT_LT(m0.addr, m2.addr);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fired.load() < 3 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    EXPECT_EQ(fired.load(), 3u) << "one notify per accepted request";
+
+    // Every slot came back, the shed ones included: a full-cap batch
+    // sees no QuotaExceeded, and the shed Mallocs never allocated.
+    std::vector<Request> again(kCap, health_req);
+    auto later = session->submitBatch(std::move(again));
+    const Response first = later.front().get();
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first.allocatedBytes, 2 * h1.allocatedBytes);
+    for (std::size_t i = 1; i < later.size(); ++i) {
+        const Response r = later[i].get();
+        EXPECT_TRUE(r.ok() || r.reject == RejectReason::Backpressure)
+            << "later request " << i << ": "
+            << serviceStatusName(r.status) << "/"
+            << rejectReasonName(r.reject);
+    }
+    EXPECT_EQ(fired.load(), 3u);
     session->close();
 }
 

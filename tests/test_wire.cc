@@ -14,14 +14,19 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,6 +223,83 @@ readOneFrame(int fd, std::vector<std::uint8_t> &payload,
         in.insert(in.end(), buf, buf + got);
     }
     return FrameStatus::Truncated;
+}
+
+/**
+ * Installs a sendvShim that parks every socket send until release(),
+ * then forwards it to the real send: a client writer delayed between
+ * taking its connection and writing to it.  Restores the real send on
+ * destruction.
+ */
+class SendGate
+{
+  public:
+    SendGate()
+    {
+        held_ = false;
+        released_ = false;
+        heldFd_ = -1;
+        real_ = fdio_detail::sendvShim;
+        fdio_detail::sendvShim = &SendGate::shim;
+    }
+
+    ~SendGate()
+    {
+        release();
+        fdio_detail::sendvShim = real_;
+    }
+
+    SendGate(const SendGate &) = delete;
+    SendGate &operator=(const SendGate &) = delete;
+
+    /** Wait for a writer to park; returns the fd it is writing to. */
+    int
+    waitHeld()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [] { return held_; });
+        return heldFd_;
+    }
+
+    void
+    release()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            released_ = true;
+        }
+        cv_.notify_all();
+    }
+
+  private:
+    static ssize_t
+    shim(int fd, const struct iovec *iov, int iovcnt)
+    {
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            held_ = true;
+            heldFd_ = fd;
+            cv_.notify_all();
+            cv_.wait(lock, [] { return released_; });
+        }
+        return real_(fd, iov, iovcnt);
+    }
+
+    static inline std::mutex mutex_;
+    static inline std::condition_variable cv_;
+    static inline bool held_ = false;
+    static inline bool released_ = false;
+    static inline int heldFd_ = -1;
+    static inline fdio_detail::SendvFn real_ = nullptr;
+};
+
+/** One Health request, as a one-element batch. */
+std::vector<Request>
+oneHealth()
+{
+    Request r;
+    r.kind = RequestKind::Health;
+    return {r};
 }
 
 std::vector<std::uint8_t>
@@ -785,6 +867,103 @@ TEST(WireClient, ServerStopCompletesInFlightFuturesClosed)
         EXPECT_TRUE(resp.status == ServiceStatus::Ok ||
                     resp.status == ServiceStatus::Closed);
     }
+    EXPECT_EQ(client.protocolErrors(), 0u);
+    client.disconnect();
+}
+
+// ---------------------------------------------------------------------
+// The client's one write path: never into a closed or reused fd, and a
+// peer reset is a transport error, never SIGPIPE.
+// ---------------------------------------------------------------------
+
+TEST(WireClient, DisconnectNeverWritesIntoAReusedFd)
+{
+    TempDir tmp;
+    const std::string path = tmp.dir + "/rime.sock";
+    RimeService svc{ServiceConfig{}};
+    ServerConfig scfg;
+    scfg.unixPath = "unix:" + path;
+    RimeServer server(svc, scfg);
+    ASSERT_TRUE(server.start());
+    RimeClient client({.endpoint = "unix:" + path});
+    ASSERT_TRUE(client.connect());
+    const std::uint64_t session = client.openSession("tenant");
+    ASSERT_NE(session, 0u);
+
+    SendGate gate;
+    std::vector<std::future<Response>> futures;
+    std::thread writer([&] {
+        futures = client.submitBatch(session, oneHealth());
+    });
+    const int captured = gate.waitHeld();
+    std::thread closer([&] { client.disconnect(); });
+
+    // Give disconnect() every chance to close the writer's fd: a
+    // client that closes without waiting for its writers does so at
+    // once, and the next descriptor opened takes the same number.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+    while (::fcntl(captured, F_GETFD) != -1 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    int pair[2] = {-1, -1};
+    const int paired = ::socketpair(AF_UNIX, SOCK_STREAM, 0, pair);
+    gate.release();
+    writer.join();
+    closer.join();
+    ASSERT_EQ(paired, 0);
+
+    // Nothing the delayed writer sent may reach a descriptor opened
+    // after the disconnect.
+    for (const int fd : pair) {
+        char buf[256];
+        const ssize_t got = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+        EXPECT_EQ(got, -1) << "stale frame on reused fd " << fd
+                           << " (writer had fd " << captured << ")";
+    }
+    ::close(pair[0]);
+    ::close(pair[1]);
+    ASSERT_EQ(futures.size(), 1u);
+    EXPECT_EQ(futures[0].get().status, ServiceStatus::Closed);
+    EXPECT_GE(client.transportErrors(), 1u);
+    EXPECT_EQ(client.protocolErrors(), 0u);
+    server.stop();
+}
+
+TEST(WireClient, PeerResetMidFrameIsClosedNotSigpipe)
+{
+    TempDir tmp;
+    const std::string path = tmp.dir + "/rime.sock";
+    RimeService svc{ServiceConfig{}};
+    ServerConfig scfg;
+    scfg.unixPath = "unix:" + path;
+    auto server = std::make_unique<RimeServer>(svc, scfg);
+    ASSERT_TRUE(server->start());
+    RimeClient client({.endpoint = "unix:" + path});
+    ASSERT_TRUE(client.connect());
+    const std::uint64_t session = client.openSession("tenant");
+    ASSERT_NE(session, 0u);
+
+    // The peer goes away while a send is under way; the send then
+    // hits a closed socket (EPIPE).  Without MSG_NOSIGNAL the kernel
+    // raises SIGPIPE and kills this process.
+    SendGate gate;
+    std::vector<std::future<Response>> futures;
+    std::thread writer([&] {
+        futures = client.submitBatch(session, oneHealth());
+    });
+    gate.waitHeld();
+    server->stop();
+    server.reset();
+    gate.release();
+    writer.join();
+
+    ASSERT_EQ(futures.size(), 1u);
+    ASSERT_EQ(futures[0].wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    EXPECT_EQ(futures[0].get().status, ServiceStatus::Closed);
+    EXPECT_GE(client.transportErrors(), 1u);
     EXPECT_EQ(client.protocolErrors(), 0u);
     client.disconnect();
 }
