@@ -2,7 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the core operations: bit-level
  * column search, chip-level scans, the fast model, key codecs, the
- * driver allocator, the DRAM bank machine, and the cache hierarchy.
+ * driver allocator, the DRAM bank machine, the cache hierarchy, and
+ * the three host layers of a 16 Ki-value StoreArray (wire encode,
+ * wire decode, FastRime bulk load).
  * These measure *simulator* (host) performance, useful for keeping
  * the models fast enough for paper-scale sweeps.
  *
@@ -32,10 +34,12 @@
 #include "common/rng.hh"
 #include "common/stat_registry.hh"
 #include "memsim/dram_system.hh"
+#include "rime/api.hh"
 #include "rime/driver.hh"
 #include "rimehw/chip.hh"
 #include "rimehw/fast_model.hh"
 #include "rimehw/kernels.hh"
+#include "service/wire.hh"
 
 using namespace rime;
 using namespace rime::rimehw;
@@ -186,6 +190,79 @@ BM_BitLevelExtractParallel(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BitLevelExtractParallel)->Arg(2)->Arg(4);
+
+/** Values per StoreArray: the benchmark's wire_store request size. */
+constexpr std::uint64_t kStoreArrayValues = 16 * 1024;
+
+/** A StoreArray request message of kStoreArrayValues 32-bit keys. */
+service::wire::Message
+storeArrayMessage()
+{
+    service::wire::Message msg;
+    msg.kind = service::wire::MessageKind::Request;
+    msg.corrId = 1;
+    msg.sessionId = 1;
+    msg.req.kind = service::RequestKind::StoreArray;
+    msg.req.start = 4096;
+    Rng rng(7);
+    msg.req.values.resize(kStoreArrayValues);
+    for (auto &v : msg.req.values)
+        v = rng() & 0xFFFFFFFF;
+    return msg;
+}
+
+void
+BM_StoreArrayEncode(benchmark::State &state)
+{
+    const auto msg = storeArrayMessage();
+    std::vector<std::uint8_t> framed;
+    for (auto _ : state) {
+        framed.clear();
+        service::wire::encodeMessage(framed, msg);
+        benchmark::DoNotOptimize(framed.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_StoreArrayEncode);
+
+void
+BM_StoreArrayDecode(benchmark::State &state)
+{
+    std::vector<std::uint8_t> framed;
+    service::wire::encodeMessage(framed, storeArrayMessage());
+    std::vector<std::uint8_t> payload;
+    service::wire::Message back;
+    for (auto _ : state) {
+        std::size_t offset = 0;
+        if (readFrame(framed.data(), framed.size(), offset, payload) !=
+                FrameStatus::Ok ||
+            !service::wire::decodeMessage(payload, back))
+            fatal("StoreArray frame failed to decode");
+        benchmark::DoNotOptimize(back.req.values.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_StoreArrayDecode);
+
+void
+BM_FastModelStoreArray(benchmark::State &state)
+{
+    LibraryConfig cfg;
+    cfg.device.bitLevel = false;
+    cfg.autoPublishStats = false;
+    RimeLibrary lib(cfg);
+    const auto values = storeArrayMessage().req.values;
+    const auto start = lib.rimeMalloc(values.size() * 4);
+    if (!start)
+        fatal("rimeMalloc failed");
+    for (auto _ : state) {
+        lib.storeArray(*start, values);
+        benchmark::DoNotOptimize(lib.now());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_FastModelStoreArray);
 
 /**
  * Wall-clock self-timing of the bit-level scan -- scalar vs SIMD

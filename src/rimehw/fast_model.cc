@@ -56,20 +56,45 @@ FastRime::encoded(std::uint64_t index) const
 Tick
 FastRime::writeValue(std::uint64_t index, std::uint64_t raw)
 {
-    if (index >= valueCapacity())
+    writeValues(index, &raw, 1, 1);
+    return timing_.tWrite;
+}
+
+void
+FastRime::writeValues(std::uint64_t index, const std::uint64_t *src,
+                      std::uint64_t count, std::size_t stride)
+{
+    if (count == 0)
+        return;
+    if (index >= valueCapacity() || count > valueCapacity() - index)
         fatal("value index %llu beyond chip capacity",
-              static_cast<unsigned long long>(index));
-    const std::uint64_t old_encoded = encoded(index);
-    if (index >= values_.size())
-        values_.resize(index + 1, 0);
+              static_cast<unsigned long long>(index + count - 1));
+    // Only a built operation must see each store as it lands; an
+    // unbuilt one sorts whatever the run leaves behind.
+    bool live = false;
+    for (const auto &kv : ops_)
+        live |= kv.second.built && kv.first.first < index + count &&
+            index < kv.first.second;
+    if (index + count > values_.size())
+        values_.resize(index + count, 0);
     const std::uint64_t mask =
         k_ >= 64 ? ~0ULL : ((1ULL << k_) - 1);
-    values_[index] = raw & mask;
-    ++rowWrites_;
-    energyPJ_ += timing_.writeEnergy;
-    endurance_.recordWrite(index * ((k_ + 7) / 8), (k_ + 7) / 8);
-    applyLiveWrite(index, old_encoded, encoded(index));
-    return timing_.tWrite;
+    std::uint64_t *dst = values_.data() + index;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t raw = src[i * stride] & mask;
+        if (live) {
+            const std::uint64_t old_encoded = encodeKey(dst[i], k_, mode_);
+            dst[i] = raw;
+            applyLiveWrite(index + i, old_encoded,
+                           encodeKey(raw, k_, mode_));
+        } else {
+            dst[i] = raw;
+        }
+    }
+    rowWrites_ += static_cast<double>(count);
+    energyPJ_.incRepeated(timing_.writeEnergy, count);
+    const std::uint64_t bytes = (k_ + 7) / 8;
+    endurance_.recordRun(index * bytes, bytes, count);
 }
 
 std::uint64_t

@@ -53,6 +53,8 @@ class FastRime : public RankBackend
     KeyMode mode() const override { return mode_; }
     std::uint64_t valueCapacity() const override;
     Tick writeValue(std::uint64_t index, std::uint64_t raw) override;
+    void writeValues(std::uint64_t index, const std::uint64_t *src,
+                     std::uint64_t count, std::size_t stride) override;
     std::uint64_t readValue(std::uint64_t index) override;
     std::uint64_t peekValue(std::uint64_t index) override;
     void pokeValue(std::uint64_t index, std::uint64_t raw) override;

@@ -163,8 +163,7 @@ encodeSessionImage(const SessionImage &image)
         w.putVarint(alloc.localAddr);
         w.putVarint(alloc.bytes);
         w.putVarint(alloc.values.size());
-        for (std::uint64_t v : alloc.values)
-            w.putU64(v);
+        w.putU64s(alloc.values.data(), alloc.values.size());
     }
     w.putVarint(image.initedRanges.size());
     for (const auto &[start, end] : image.initedRanges) {
@@ -205,8 +204,8 @@ decodeSessionImage(const std::vector<std::uint8_t> &payload,
         if (!r.ok() || n_values > r.bitsLeft() / 64)
             return false;
         alloc.values.resize(n_values);
-        for (std::uint64_t v = 0; v < n_values; ++v)
-            alloc.values[v] = r.getU64();
+        if (!r.getU64s(alloc.values.data(), n_values))
+            return false;
         out.allocations.push_back(std::move(alloc));
     }
     const std::uint64_t n_ranges = r.getVarint();

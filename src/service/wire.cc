@@ -79,8 +79,8 @@ encodeRequest(BitWriter &w, const service::Request &req)
     w.putVarint(req.wordBits);
     w.putVarint(req.deadline);
     w.putVarint(req.values.size());
-    for (std::uint64_t v : req.values)
-        w.putU64(v);
+    // `largest` leaves the values at bit phase 1: one shifted run.
+    w.putU64s(req.values.data(), req.values.size());
 }
 
 bool
@@ -99,9 +99,7 @@ decodeRequest(BitReader &r, service::Request &req)
     if (!r.ok() || n > r.bitsLeft() / 64)
         return false;
     req.values.resize(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        req.values[i] = r.getU64();
-    return r.ok();
+    return r.getU64s(req.values.data(), n);
 }
 
 void

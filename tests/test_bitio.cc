@@ -18,6 +18,7 @@
 
 #include "common/bitio.hh"
 #include "common/rng.hh"
+#include "service/wire.hh"
 
 using namespace rime;
 
@@ -134,6 +135,122 @@ TEST(BitIo, EmptyInputReads)
     EXPECT_EQ(r.bitsLeft(), 0u);
     EXPECT_EQ(r.get(1), 0u);
     EXPECT_FALSE(r.ok());
+}
+
+namespace
+{
+
+/** n pseudo-random 64-bit values covering every byte pattern. */
+std::vector<std::uint64_t>
+runValues(std::size_t n)
+{
+    std::vector<std::uint64_t> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = (i + 1) * 0x9E3779B97F4A7C15ULL;
+    return v;
+}
+
+} // namespace
+
+TEST(BitIo, U64RunMatchesFieldAtATimeAtEveryPhase)
+{
+    for (unsigned phase = 0; phase <= 7; ++phase) {
+        for (const std::size_t n : {0, 1, 2, 37}) {
+            SCOPED_TRACE("phase " + std::to_string(phase) + " n " +
+                         std::to_string(n));
+            const auto values = runValues(n);
+            BitWriter one, run;
+            if (phase) {
+                one.put(0x55, phase);
+                run.put(0x55, phase);
+            }
+            for (const auto v : values)
+                one.putU64(v);
+            run.putU64s(values.data(), n);
+            // A trailing field checks the writers' bit phase, too.
+            one.put(0x5, 3);
+            run.put(0x5, 3);
+            ASSERT_TRUE(run.ok());
+            EXPECT_EQ(run.bitSize(), one.bitSize());
+            EXPECT_EQ(run.bytes(), one.bytes());
+
+            BitReader a(one.bytes()), b(one.bytes());
+            if (phase) {
+                EXPECT_EQ(a.get(phase), 0x55 & mask(phase));
+                EXPECT_EQ(b.get(phase), 0x55 & mask(phase));
+            }
+            std::vector<std::uint64_t> got(n);
+            ASSERT_TRUE(b.getU64s(got.data(), n));
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(got[i], a.getU64()) << "value " << i;
+            EXPECT_EQ(got, values);
+            EXPECT_EQ(b.bitsLeft(), a.bitsLeft());
+            EXPECT_EQ(b.get(3), 0x5u);
+            EXPECT_TRUE(a.ok());
+            EXPECT_TRUE(b.ok());
+        }
+    }
+}
+
+TEST(BitIo, TruncatedU64RunLatchesAtEveryCut)
+{
+    // At phase p a buffer of L bytes leaves 8L - p bits for the run,
+    // so every phase and every byte cut together cover every bit count
+    // short of the run.  Each cut is copied into an exactly-sized heap
+    // buffer, so a read past it is an ASan error.
+    for (unsigned phase = 0; phase <= 7; ++phase) {
+        for (const std::size_t n : {1, 2, 37}) {
+            const auto values = runValues(n);
+            BitWriter w;
+            if (phase)
+                w.put(0, phase);
+            w.putU64s(values.data(), n);
+            const auto &full = w.bytes();
+            for (std::size_t len = 0; len < full.size(); ++len) {
+                SCOPED_TRACE("phase " + std::to_string(phase) + " n " +
+                             std::to_string(n) + " len " +
+                             std::to_string(len));
+                const std::vector<std::uint8_t> cut(full.begin(),
+                                                    full.begin() + len);
+                BitReader r(cut.data(), cut.size());
+                if (phase && len > 0)
+                    r.get(phase);
+                std::vector<std::uint64_t> out(n, 7);
+                EXPECT_FALSE(r.getU64s(out.data(), n));
+                EXPECT_FALSE(r.ok());
+                EXPECT_EQ(out, std::vector<std::uint64_t>(n, 7));
+                // Latched: a later run (even an empty one) fails too.
+                EXPECT_FALSE(r.getU64s(out.data(), 0));
+            }
+        }
+    }
+}
+
+TEST(BitIo, TruncatedStoreArrayRequestFailsAtEveryByte)
+{
+    service::Request req;
+    req.kind = service::RequestKind::StoreArray;
+    req.start = 4096;
+    req.largest = true;
+    req.wordBits = 32;
+    req.values = runValues(37);
+    BitWriter w;
+    service::wire::encodeRequest(w, req);
+    const auto &full = w.bytes();
+    {
+        BitReader r(full);
+        service::Request back;
+        ASSERT_TRUE(service::wire::decodeRequest(r, back));
+        EXPECT_EQ(back.values, req.values);
+    }
+    for (std::size_t len = 0; len < full.size(); ++len) {
+        const std::vector<std::uint8_t> cut(full.begin(),
+                                            full.begin() + len);
+        BitReader r(cut.data(), cut.size());
+        service::Request back;
+        EXPECT_FALSE(service::wire::decodeRequest(r, back))
+            << "len " << len;
+    }
 }
 
 TEST(BitIo, VarintBreakpoints)

@@ -4,15 +4,19 @@
  * the bit-level RimeChip: identical extraction results, identical
  * step counts (the LCP theorem), identical energy/statistics, under
  * randomized operation sequences including live stores, mixed
- * min/max ranges, sub-ranges, and re-initialization.
+ * min/max ranges, sub-ranges, and re-initialization.  A device bulk
+ * load (per-chip runs) must leave exactly the state of a per-value
+ * store loop.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "rime/device.hh"
 #include "rimehw/chip.hh"
 #include "rimehw/fast_model.hh"
 
@@ -298,5 +302,94 @@ TEST(FastRime, CapacityMatchesBitLevelModel)
         chip.configure(k, KeyMode::UnsignedFixed);
         fast.configure(k, KeyMode::UnsignedFixed);
         EXPECT_EQ(chip.valueCapacity(), fast.valueCapacity()) << k;
+    }
+}
+
+TEST(FastRime, BulkLoadMatchesWriteValueLoop)
+{
+    // Three chips, so a start index that is not a multiple of the chip
+    // count gives every chip a different phase; 192 columns fit every
+    // width below, and 24-bit (3-byte) values straddle 512-byte
+    // endurance blocks.
+    rime::DeviceConfig cfg;
+    cfg.geometry.chipsPerChannel = 3;
+    cfg.geometry.arrayCols = 192;
+    // An inexact binary fraction makes the energy sum depend on how
+    // it is accumulated, so only per-write adds stay bit-equal.
+    cfg.timing.writeEnergy = 2600.1;
+    for (const unsigned k : {8u, 24u, 32u, 64u}) {
+        SCOPED_TRACE("k " + std::to_string(k));
+        rime::RimeDevice bulk(cfg), loop(cfg);
+        Rng rng(900 + k);
+        const std::uint64_t total = 4500;
+        std::vector<std::uint64_t> first(total);
+        for (auto &v : first)
+            v = rng();
+        // Two operations the load overlaps: [3000, 4500) is built (one
+        // value already extracted), [300, 900) only initialized.
+        const std::uint64_t built_begin = 3000, built_end = total;
+        const std::uint64_t idle_begin = 300, idle_end = 900;
+        for (auto *dev : {&bulk, &loop}) {
+            dev->configure(k, KeyMode::UnsignedFixed);
+            for (std::uint64_t i = 0; i < total; ++i)
+                dev->writeValue(i, first[i]);
+            for (unsigned c = 0; c < dev->totalChips(); ++c) {
+                const auto built = dev->localRange(c, built_begin,
+                                                   built_end);
+                const auto idle = dev->localRange(c, idle_begin,
+                                                  idle_end);
+                dev->chip(c).initRange(built.lo, built.hi);
+                dev->chip(c).initRange(idle.lo, idle.hi);
+                ASSERT_TRUE(dev->chip(c).extract(built.lo, built.hi).found);
+            }
+        }
+
+        // Unmasked 64-bit values: the chips keep the low k bits.
+        const std::uint64_t start = 1001, n = 3000;
+        ASSERT_NE(start % bulk.totalChips(), 0u);
+        std::vector<std::uint64_t> raws(n);
+        for (auto &v : raws)
+            v = rng();
+        bulk.loadValues(start, raws);
+        for (std::uint64_t i = 0; i < n; ++i)
+            loop.writeValue(start + i, raws[i]);
+
+        for (std::uint64_t i = 0; i < total; ++i)
+            ASSERT_EQ(bulk.peekValue(i), loop.peekValue(i)) << i;
+        EXPECT_EQ(bulk.stats().get("hostWrites"),
+                  loop.stats().get("hostWrites"));
+        for (unsigned c = 0; c < bulk.totalChips(); ++c) {
+            SCOPED_TRACE("chip " + std::to_string(c));
+            auto &a = bulk.chip(c);
+            auto &b = loop.chip(c);
+            EXPECT_EQ(a.stats().get("rowWrites"),
+                      b.stats().get("rowWrites"));
+            // Bit-equal, not merely close.
+            EXPECT_EQ(a.stats().get("energyPJ"),
+                      b.stats().get("energyPJ"));
+            const auto &ea = a.endurance();
+            const auto &eb = b.endurance();
+            EXPECT_EQ(ea.totalWrites(), eb.totalWrites());
+            EXPECT_EQ(ea.maxBlockWrites(), eb.maxBlockWrites());
+            EXPECT_EQ(ea.touchedBlocks(), eb.touchedBlocks());
+            const std::uint64_t bytes =
+                (total / bulk.totalChips() + 1) * (k / 8);
+            for (std::uint64_t off = 0; off < bytes; off += 512)
+                EXPECT_EQ(ea.blockWrites(off), eb.blockWrites(off))
+                    << "block at byte " << off;
+
+            // Both operations extract the same sequence afterwards.
+            for (const auto &[lo, hi] :
+                 {bulk.localRange(c, built_begin, built_end),
+                  bulk.localRange(c, idle_begin, idle_end)}) {
+                for (;;) {
+                    const auto ra = a.extract(lo, hi);
+                    const auto rb = b.extract(lo, hi);
+                    expectSameResult(ra, rb, "after bulk load");
+                    if (!ra.found || !rb.found)
+                        break;
+                }
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "rimehw/htree.hh"
+#include "htree.hh"
 
 using namespace rime;
 using namespace rime::rimehw;

@@ -11,7 +11,7 @@
 #include <algorithm>
 
 #include "common/rng.hh"
-#include "rimehw/reference.hh"
+#include "reference.hh"
 
 using namespace rime;
 using namespace rime::rimehw;

@@ -6,7 +6,7 @@
  *    decoded values (ties by lowest address), in all three data-type
  *    modes;
  *  - the chip agrees with the direct Algorithm-1 transcription
- *    (rimehw/reference.hh), including step counts;
+ *    (tests/reference.hh), including step counts;
  *  - multi-unit (multi-mat) exclusion never loses a value;
  *  - exclusion latches persist across scans and reset on initRange.
  */
@@ -19,7 +19,7 @@
 
 #include "common/rng.hh"
 #include "rimehw/chip.hh"
-#include "rimehw/reference.hh"
+#include "reference.hh"
 
 using namespace rime;
 using namespace rime::rimehw;

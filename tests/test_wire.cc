@@ -38,6 +38,7 @@
 #include "net/poller.hh"
 #include "net/server.hh"
 #include "net/socket.hh"
+#include "service/journal.hh"
 #include "service/service.hh"
 #include "service/wire.hh"
 
@@ -415,6 +416,50 @@ TEST(WireCodec, MessageKindsRoundTrip)
                       msg.resp.items[i].index);
         }
     }
+}
+
+TEST(WireCodec, StoreArrayGoldenBytes)
+{
+    // Frozen format: a StoreArray's values follow the 1-bit `largest`
+    // flag, so they sit at bit phase 1 in both the wire frame and the
+    // journal Op record.  The sizes and checksums were recorded from
+    // the field-at-a-time codec; any codec change must keep them.
+    wire::Message msg;
+    msg.kind = wire::MessageKind::Request;
+    msg.corrId = 12345;
+    msg.sessionId = 7;
+    msg.req.kind = RequestKind::StoreArray;
+    msg.req.start = 4096;
+    msg.req.largest = true;
+    msg.req.wordBits = 32;
+    for (std::uint64_t i = 0; i < 37; ++i)
+        msg.req.values.push_back((i + 1) * 0x9E3779B97F4A7C15ull);
+
+    std::vector<std::uint8_t> framed;
+    wire::encodeMessage(framed, msg);
+    EXPECT_EQ(framed.size(), 319u);
+    EXPECT_EQ(crc32(framed.data(), framed.size()), 0xf8025d77u);
+
+    JournalRecord record;
+    record.kind = JournalRecordKind::Op;
+    record.seq = 42;
+    record.sessionId = 7;
+    record.req = msg.req;
+    const auto payload = encodeRecord(record);
+    EXPECT_EQ(payload.size(), 312u);
+    EXPECT_EQ(crc32(payload.data(), payload.size()), 0x290201f5u);
+
+    // And both decode back to the values.
+    std::size_t offset = 0;
+    std::vector<std::uint8_t> body;
+    ASSERT_EQ(readFrame(framed.data(), framed.size(), offset, body),
+              FrameStatus::Ok);
+    wire::Message back;
+    ASSERT_TRUE(wire::decodeMessage(body, back));
+    EXPECT_EQ(back.req.values, msg.req.values);
+    JournalRecord replayed;
+    ASSERT_TRUE(decodeRecord(payload, replayed));
+    EXPECT_EQ(replayed.req.values, msg.req.values);
 }
 
 // ---------------------------------------------------------------------
