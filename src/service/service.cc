@@ -220,24 +220,11 @@ Session::close()
 
     // A close racing a failover can reach the session's *old*
     // controller, which sheds it (Rejected/Draining); retry against
-    // the re-homed session.
+    // the re-homed session.  The close rides the same FIFO as the data
+    // path, so it lands after everything already queued.
     for (unsigned attempt = 0; attempt < 3; ++attempt) {
-        SessionState::Pending pending;
-        pending.control = SessionState::Pending::Control::Close;
-        pending.session = state_;
-        pending.enqueued = std::chrono::steady_clock::now();
-        auto future = pending.promise.get_future();
-        // The close rides the same FIFO as the data path (so it lands
-        // after everything already queued) but takes an in-flight slot
-        // unconditionally: quota never blocks a goodbye.
-        state_->inFlight.fetch_add(1, std::memory_order_acq_rel);
-        if (!controller()->submitControl(std::move(pending))) {
-            // Shard already stopped; its shutdown path completed or
-            // will complete everything, and the slot accounting died
-            // with it.
-            return;
-        }
-        const Response r = future.get();
+        const Response r = controller()->control(
+            SessionState::Pending::Control::Close, state_);
         if (r.status != ServiceStatus::Rejected ||
             r.reject != RejectReason::Draining) {
             return;
@@ -330,11 +317,8 @@ RimeService::recoverSessions()
         }
         if (covered || image.closed)
             continue;
-        auto state = std::make_shared<SessionState>();
-        state->id = image.id;
-        state->tenant = image.tenant;
-        state->weight = image.weight;
-        state->maxInFlight = image.maxInFlight;
+        auto state = makeSessionState(image.id, image.tenant,
+                                      image.weight, image.maxInFlight);
         bool installed = false;
         for (const auto &shard : controllers_) {
             if (shard->installRecovered(state, image)) {
@@ -442,19 +426,13 @@ RimeService::openSession(const SessionConfig &cfg)
         }
     }
 
-    auto state = std::make_shared<SessionState>();
-    state->id = id;
-    state->tenant = cfg.tenant;
-    state->weight = std::max(1u, cfg.weight);
-    state->maxInFlight = std::max(1u, cfg.maxInFlight);
-    state->shard.store(shard, std::memory_order_relaxed);
-    state->controller.store(controllers_[shard].get(),
-                            std::memory_order_release);
+    auto state =
+        makeSessionState(id, cfg.tenant, cfg.weight, cfg.maxInFlight);
+    controllers_[shard]->registerSession(state);
     {
         std::lock_guard<std::mutex> lock(sessionsMutex_);
         sessions_.push_back(state);
     }
-    controllers_[shard]->registerSession(state);
     return std::shared_ptr<Session>(
         new Session(std::move(state), alive_));
 }
@@ -497,6 +475,40 @@ RimeService::health()
     return aggregate;
 }
 
+std::vector<std::uint8_t>
+RimeService::drainImage(const std::shared_ptr<SessionState> &state,
+                        unsigned from)
+{
+    Response r = controllers_[from]->control(
+        SessionState::Pending::Control::Drain, state);
+    if (!r.ok())
+        return {};
+    return std::move(r.image);
+}
+
+bool
+RimeService::installImage(const std::shared_ptr<SessionState> &state,
+                          const std::vector<std::uint8_t> &image,
+                          unsigned first, unsigned count)
+{
+    for (unsigned offset = 0; offset < count; ++offset) {
+        const unsigned pick = (first + offset) % shards();
+        if (controllers_[pick]->draining())
+            continue;
+        // A shard vetoes (Rejected/Reconfiguration) a word geometry
+        // that would re-mode other tenants' live operations; a stopped
+        // one answers Closed.  Either way, try the next.  On success
+        // the shard has already pinned the session.
+        if (controllers_[pick]
+                ->control(SessionState::Pending::Control::Install,
+                          state, image)
+                .ok()) {
+            return true;
+        }
+    }
+    return false;
+}
+
 bool
 RimeService::migrateSession(
     const std::shared_ptr<SessionState> &state, unsigned from)
@@ -504,53 +516,21 @@ RimeService::migrateSession(
     // Park the client side first: submits spin on `migrating` instead
     // of racing the hand-off.
     state->migrating.store(true, std::memory_order_release);
-
-    SessionState::Pending drain;
-    drain.control = SessionState::Pending::Control::Drain;
-    drain.session = state;
-    drain.enqueued = std::chrono::steady_clock::now();
-    auto drained = drain.promise.get_future();
-    state->inFlight.fetch_add(1, std::memory_order_acq_rel);
-    if (!controllers_[from]->submitControl(std::move(drain))) {
-        state->migrating.store(false, std::memory_order_release);
-        return false;
+    const std::vector<std::uint8_t> image = drainImage(state, from);
+    bool moved = false;
+    if (!image.empty()) {
+        // Try every healthy peer; the image is journaled on the old
+        // shard (Migrated record), so a crash here re-homes at next
+        // recovery.
+        moved = installImage(state, image, from + 1, shards() - 1);
+        if (!moved) {
+            warn("session %llu: drained off shard %u but no peer can "
+                 "take it; recovery will re-home it from the journal",
+                 static_cast<unsigned long long>(state->id), from);
+        }
     }
-    Response image = drained.get();
-    if (!image.ok()) {
-        // Closed (or already drained) while the control was queued.
-        state->migrating.store(false, std::memory_order_release);
-        return false;
-    }
-
-    // Try every healthy peer; the image is journaled on the old shard
-    // (Migrated record), so a crash here re-homes at next recovery.
-    for (unsigned offset = 1; offset < shards(); ++offset) {
-        const unsigned peer = (from + offset) % shards();
-        if (controllers_[peer]->draining())
-            continue;
-        SessionState::Pending install;
-        install.control = SessionState::Pending::Control::Install;
-        install.session = state;
-        install.image = image.image;
-        install.enqueued = std::chrono::steady_clock::now();
-        auto installed = install.promise.get_future();
-        state->inFlight.fetch_add(1, std::memory_order_acq_rel);
-        if (!controllers_[peer]->submitControl(std::move(install)))
-            continue;
-        if (!installed.get().ok())
-            continue; // incompatible word geometry on this peer
-        controllers_[peer]->registerSession(state);
-        state->shard.store(peer, std::memory_order_release);
-        state->controller.store(controllers_[peer].get(),
-                                std::memory_order_release);
-        state->migrating.store(false, std::memory_order_release);
-        return true;
-    }
-    warn("session %llu: drained off shard %u but no peer can take "
-         "it; recovery will re-home it from the journal",
-         static_cast<unsigned long long>(state->id), from);
     state->migrating.store(false, std::memory_order_release);
-    return false;
+    return moved;
 }
 
 unsigned
@@ -632,26 +612,13 @@ RimeService::drainSessionImage(std::uint64_t id)
     // flight; once it completes the session is gone from this instance
     // and late submits are shed (Rejected/Draining) by the old shard.
     state->migrating.store(true, std::memory_order_release);
-    SessionState::Pending drain;
-    drain.control = SessionState::Pending::Control::Drain;
-    drain.session = state;
-    drain.enqueued = std::chrono::steady_clock::now();
-    auto drained = drain.promise.get_future();
-    state->inFlight.fetch_add(1, std::memory_order_acq_rel);
-    const unsigned from = state->shard.load(std::memory_order_acquire);
-    if (from >= shards() ||
-        !controllers_[from]->submitControl(std::move(drain))) {
-        state->migrating.store(false, std::memory_order_release);
-        return {};
-    }
-    Response image = drained.get();
+    std::vector<std::uint8_t> image =
+        drainImage(state, state->shard.load(std::memory_order_acquire));
     state->migrating.store(false, std::memory_order_release);
-    if (!image.ok())
-        return {}; // closed or already drained while queued
     // The state stays in sessions_ as migrated-away: its per-tenant
     // stat group belongs in dumps, and the journal's Migrated record
     // keeps the image recoverable if the peer install never lands.
-    return image.image;
+    return image;
 }
 
 std::shared_ptr<Session>
@@ -669,47 +636,23 @@ RimeService::installSessionImage(const std::vector<std::uint8_t> &bytes)
     const std::vector<std::uint8_t> remapped =
         encodeSessionImage(image);
 
-    auto state = std::make_shared<SessionState>();
-    state->id = image.id;
-    state->tenant = image.tenant;
-    state->weight = std::max(1u, image.weight);
-    state->maxInFlight = std::max(1u, image.maxInFlight);
+    auto state = makeSessionState(image.id, image.tenant, image.weight,
+                                  image.maxInFlight);
 
     // Walk shards from the placement pick: a shard can veto the
-    // install (Reconfiguration: word geometry mismatch with live
-    // state), so try every non-draining one deterministically.
+    // install, so try every non-draining one deterministically.
     const std::uint64_t key =
         placementHash(image.tenant) ^ placementMix(image.id);
     const unsigned first =
         std::min(config_.placement->place(loads(), key),
                  shards() - 1);
-    for (unsigned offset = 0; offset < shards(); ++offset) {
-        const unsigned pick = (first + offset) % shards();
-        if (controllers_[pick]->draining())
-            continue;
-        SessionState::Pending install;
-        install.control = SessionState::Pending::Control::Install;
-        install.session = state;
-        install.image = remapped;
-        install.enqueued = std::chrono::steady_clock::now();
-        auto installed = install.promise.get_future();
-        state->inFlight.fetch_add(1, std::memory_order_acq_rel);
-        state->shard.store(pick, std::memory_order_release);
-        state->controller.store(controllers_[pick].get(),
-                                std::memory_order_release);
-        if (!controllers_[pick]->submitControl(std::move(install)))
-            continue;
-        if (!installed.get().ok())
-            continue; // incompatible word geometry on this shard
-        controllers_[pick]->registerSession(state);
-        {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            sessions_.push_back(state);
-        }
-        return std::shared_ptr<Session>(
-            new Session(std::move(state), alive_));
+    if (!installImage(state, remapped, first, shards()))
+        return nullptr;
+    {
+        std::lock_guard<std::mutex> lock(sessionsMutex_);
+        sessions_.push_back(state);
     }
-    return nullptr;
+    return std::shared_ptr<Session>(new Session(std::move(state), alive_));
 }
 
 void

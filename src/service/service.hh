@@ -271,6 +271,22 @@ class RimeService
     /** Re-home one session (drain `from`, install on a peer). */
     bool migrateSession(const std::shared_ptr<SessionState> &state,
                         unsigned from);
+    /**
+     * Drain control: drain the session off shard `from` and return its
+     * encoded image.  Empty when the session closed or drained while
+     * the control was queued, or the shard stopped.
+     */
+    std::vector<std::uint8_t>
+    drainImage(const std::shared_ptr<SessionState> &state,
+               unsigned from);
+    /**
+     * Install control: offer `image` to `count` shards from `first`
+     * (mod shards), skipping draining ones, until one adopts and pins
+     * the session.  False when none could.
+     */
+    bool installImage(const std::shared_ptr<SessionState> &state,
+                      const std::vector<std::uint8_t> &image,
+                      unsigned first, unsigned count);
 
     ServiceConfig config_;
     std::vector<std::unique_ptr<ShardController>> controllers_;

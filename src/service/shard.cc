@@ -40,17 +40,32 @@ isExtraction(RequestKind kind)
 }
 
 /**
- * The single completion funnel: every queued request finishes here.
- * The notify hook fires *after* the promise is fulfilled so a waker
- * (the wire server's event loop) always finds the future ready.
+ * The completion funnel: every queued request not finished by the
+ * group commit (flushBatchLocked) finishes here.  The in-flight slot
+ * is dropped *before* the future completes -- a closed-loop client may
+ * resubmit the instant it observes the completion, and must find its
+ * quota slot free -- and the notify hook fires *after* the promise is
+ * fulfilled so a waker (the wire server's event loop) always finds
+ * the future ready.
  */
 void
-complete(SessionState::Pending &pending, Response &&r)
+finish(SessionState::Pending &pending, Response &&r)
 {
+    pending.session->inFlight.fetch_sub(1, std::memory_order_release);
     const std::function<void()> notify = std::move(pending.notify);
     pending.promise.set_value(std::move(r));
     if (notify)
         notify();
+}
+
+/** A response that carries only a status (and a reject reason). */
+Response
+statusOnly(ServiceStatus status, RejectReason reject = RejectReason::None)
+{
+    Response r;
+    r.status = status;
+    r.reject = reject;
+    return r;
 }
 
 /** Clamp nonsense knob values once, at construction. */
@@ -79,6 +94,18 @@ fromRimeStatus(RimeStatus status)
 }
 
 } // namespace
+
+std::shared_ptr<SessionState>
+makeSessionState(std::uint64_t id, std::string tenant, unsigned weight,
+                 unsigned maxInFlight)
+{
+    auto s = std::make_shared<SessionState>();
+    s->id = id;
+    s->tenant = std::move(tenant);
+    s->weight = std::max(1u, weight);
+    s->maxInFlight = std::max(1u, maxInFlight);
+    return s;
+}
 
 const char *
 requestKindName(RequestKind kind)
@@ -206,6 +233,8 @@ ShardController::stop()
 void
 ShardController::registerSession(std::shared_ptr<SessionState> session)
 {
+    session->shard.store(index_, std::memory_order_release);
+    session->controller.store(this, std::memory_order_release);
     std::lock_guard<std::mutex> lock(sessionsMutex_);
     sessions_.push_back(std::move(session));
 }
@@ -223,13 +252,25 @@ ShardController::submitDataBatch(std::vector<Pending> &batch)
     return accepted;
 }
 
-bool
-ShardController::submitControl(Pending &&pending)
+Response
+ShardController::control(Pending::Control kind,
+                         std::shared_ptr<SessionState> session,
+                         std::vector<std::uint8_t> image)
 {
-    if (!inbox_.pushBlocking(std::move(pending)))
-        return false;
+    Pending pending;
+    pending.control = kind;
+    pending.image = std::move(image);
+    pending.enqueued = std::chrono::steady_clock::now();
+    session->inFlight.fetch_add(1, std::memory_order_acq_rel);
+    pending.session = std::move(session);
+    auto done = pending.promise.get_future();
+    if (!inbox_.pushBlocking(std::move(pending))) {
+        // Shard already stopped; its shutdown path completed or will
+        // complete everything, and the slot accounting died with it.
+        return statusOnly(ServiceStatus::Closed);
+    }
     inboxDepth_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    return done.get();
 }
 
 std::size_t
@@ -317,10 +358,7 @@ ShardController::route(Pending &&pending)
     if (s.closed) {
         // Arrived after the session's Close was served (shutdown
         // races): nothing can be executed on its behalf anymore.
-        s.inFlight.fetch_sub(1, std::memory_order_release);
-        Response r;
-        r.status = ServiceStatus::Closed;
-        complete(pending, std::move(r));
+        finish(pending, statusOnly(ServiceStatus::Closed));
         return;
     }
     if (pending.control == Pending::Control::Install) {
@@ -340,12 +378,9 @@ ShardController::route(Pending &&pending)
         // now.  Shed it -- closes included -- so the client retries
         // against the new shard instead of parking in a fifo no sweep
         // visits anymore.
-        s.inFlight.fetch_sub(1, std::memory_order_release);
         rejectedDraining_.fetch_add(1, std::memory_order_relaxed);
-        Response r;
-        r.status = ServiceStatus::Rejected;
-        r.reject = RejectReason::Draining;
-        complete(pending, std::move(r));
+        finish(pending, statusOnly(ServiceStatus::Rejected,
+                                   RejectReason::Draining));
         return;
     }
     s.fifo.push_back(std::move(pending));
@@ -468,13 +503,9 @@ ShardController::serveHead(SessionState &s, unsigned budget)
         // serve exactly the requests it waited for, or the device
         // order would depend on client pipelining instead of the
         // session scripts.
-        std::size_t cap = std::min<std::size_t>(budget,
-                                                config_.maxBatch);
-        if (!config_.deterministic) {
-            cap = std::min<std::size_t>(
-                std::max<std::size_t>(cap, config_.batchOps),
-                config_.maxBatch);
-        }
+        const std::size_t cap = config_.deterministic
+            ? budget
+            : std::max<std::size_t>(budget, config_.batchOps);
         while (batch.size() < cap && !s.fifo.empty()) {
             const Pending &next = s.fifo.front();
             if (next.control != Pending::Control::Data ||
@@ -506,20 +537,9 @@ ShardController::serveOne(SessionState &s, Pending &pending)
     const double queue_ns = hostNsSince(pending.enqueued);
     stats_.hist("queueWallNsHost").record(queue_ns);
 
-    Response r;
-    if (pending.req.deadline != 0 && lib_.now() >= pending.req.deadline) {
-        // Expired against the shard's *simulated* clock: never touches
-        // the device, and replays deterministically under lockstep.
-        r.status = ServiceStatus::DeadlineExpired;
-        stats_.inc("deadlineExpired");
-        s.stats.inc("deadlineExpired");
-    } else {
-        r = execute(s, pending.req);
-    }
+    Response r = applyOp(s, pending.req);
     r.shardTick = lib_.now();
     r.queueWallNs = queue_ns;
-    stats_.inc("requests");
-    s.stats.inc("requests");
 
     // Write-ahead discipline: the op reaches the journal before the
     // client can observe its completion, so every committed op is
@@ -530,23 +550,14 @@ ShardController::serveOne(SessionState &s, Pending &pending)
     // serve order (the quota slot is released there too, just before
     // each completion).
     journalOp(s, pending.req, r);
-    if (!replaying_) {
-        // Withhold the completion (journal or not): completions then
-        // land in clusters at the flush points, which is what lets
-        // the wire tier ship a whole group of responses as one
-        // vectored write and the client refill with one batched
-        // submit.  With a journal the same flush is the group commit.
-        deferred_.push_back({std::move(pending), std::move(r)});
-        if (deferred_.size() >= config_.batchOps)
-            flushBatchLocked();
-        return;
-    }
-
-    // Drop the in-flight slot *before* completing the future: a
-    // closed-loop client may resubmit the instant it observes the
-    // completion, and must find its quota slot free.
-    s.inFlight.fetch_sub(1, std::memory_order_release);
-    complete(pending, std::move(r));
+    // Withhold the completion (journal or not): completions then land
+    // in clusters at the flush points, which is what lets the wire
+    // tier ship a whole group of responses as one vectored write and
+    // the client refill with one batched submit.  With a journal the
+    // same flush is the group commit.
+    deferred_.push_back({std::move(pending), std::move(r)});
+    if (deferred_.size() >= config_.batchOps)
+        flushBatchLocked();
 }
 
 void
@@ -584,9 +595,7 @@ ShardController::flushBatchLocked()
     std::vector<std::function<void()>> notifies;
     notifies.reserve(deferred_.size());
     for (auto &d : deferred_) {
-        // Slot before future, as in the undeferred path: a
-        // closed-loop client resubmits the instant it observes the
-        // completion and must find its quota slot free.
+        // Slot before future, as in finish().
         d.pending.session->inFlight.fetch_sub(
             1, std::memory_order_release);
         if (d.pending.notify)
@@ -609,9 +618,19 @@ ShardController::flushBatchLocked()
 }
 
 Response
-ShardController::execute(SessionState &s, Request &req)
+ShardController::applyOp(SessionState &s, const Request &req)
 {
+    stats_.inc("requests");
+    s.stats.inc("requests");
     Response r;
+    if (req.deadline != 0 && lib_.now() >= req.deadline) {
+        // Expired against the shard's *simulated* clock: never touches
+        // the device, and replays deterministically under lockstep.
+        r.status = ServiceStatus::DeadlineExpired;
+        stats_.inc("deadlineExpired");
+        s.stats.inc("deadlineExpired");
+        return r;
+    }
     r.status = ServiceStatus::Ok;
     switch (req.kind) {
       case RequestKind::Malloc: {
@@ -848,22 +867,27 @@ ShardController::othersHaveInits(const SessionState &s) const
 }
 
 void
-ShardController::closeSession(SessionState &s, Pending &pending)
+ShardController::releaseSession(SessionState &s)
 {
-    // Everything the session still owns goes back to the allocator
-    // (which retires any operation state on the ranges).
+    // The allocator retires any operation state on the ranges.
     for (const Addr base : s.allocations)
         lib_.rimeFree(localBase(s, base));
     s.allocations.clear();
     s.initedRanges.clear();
     s.addrTranslate.clear();
     s.extractProgress.clear();
+}
+
+void
+ShardController::closeSession(SessionState &s, Pending &pending)
+{
+    releaseSession(s);
     s.closed = true;
     stats_.inc("closes");
 
     // Journaled only for sessions the journal knows: a session that
     // closed without a single journaled op never existed durably.
-    if (journal_.active() && !replaying_ && s.journalOpened) {
+    if (journal_.active() && s.journalOpened) {
         JournalRecord rec;
         rec.kind = JournalRecordKind::SessionClose;
         rec.sessionId = s.id;
@@ -873,29 +897,20 @@ ShardController::closeSession(SessionState &s, Pending &pending)
     }
 
     // Requests the session still had queued behind the close.
-    for (auto &queued : s.fifo) {
-        s.inFlight.fetch_sub(1, std::memory_order_release);
-        Response r;
-        r.status = ServiceStatus::Closed;
-        complete(queued, std::move(r));
-    }
+    for (auto &queued : s.fifo)
+        finish(queued, statusOnly(ServiceStatus::Closed));
     s.fifo.clear();
 
-    Response done;
-    done.status = ServiceStatus::Ok;
+    Response done = statusOnly(ServiceStatus::Ok);
     done.shardTick = lib_.now();
-    s.inFlight.fetch_sub(1, std::memory_order_release);
-    complete(pending, std::move(done));
+    finish(pending, std::move(done));
 }
 
 void
 ShardController::drainSession(SessionState &s, Pending &pending)
 {
     if (s.closed || s.migratedAway) {
-        Response r;
-        r.status = ServiceStatus::Closed;
-        s.inFlight.fetch_sub(1, std::memory_order_release);
-        complete(pending, std::move(r));
+        finish(pending, statusOnly(ServiceStatus::Closed));
         return;
     }
 
@@ -906,7 +921,7 @@ ShardController::drainSession(SessionState &s, Pending &pending)
     // takeOrphanedMigrations).
     const SessionImage image = buildImage(s);
     std::vector<std::uint8_t> encoded = encodeSessionImage(image);
-    if (journal_.active() && !replaying_) {
+    if (journal_.active()) {
         journalSessionOpenIfNeeded(s);
         JournalRecord rec;
         rec.kind = JournalRecordKind::Migrated;
@@ -916,34 +931,59 @@ ShardController::drainSession(SessionState &s, Pending &pending)
         journal_.commitBatch();
     }
 
-    for (const Addr base : s.allocations)
-        lib_.rimeFree(localBase(s, base));
-    s.allocations.clear();
-    s.initedRanges.clear();
-    s.addrTranslate.clear();
-    s.extractProgress.clear();
+    releaseSession(s);
     s.migratedAway = true;
     stats_.inc("drains");
 
     // Requests queued behind the drain belong to the session's next
     // home; shed them so the clients retry after the re-home.
     for (auto &queued : s.fifo) {
-        s.inFlight.fetch_sub(1, std::memory_order_release);
         rejectedDraining_.fetch_add(1, std::memory_order_relaxed);
-        Response shed;
-        shed.status = ServiceStatus::Rejected;
-        shed.reject = RejectReason::Draining;
-        complete(queued, std::move(shed));
+        finish(queued, statusOnly(ServiceStatus::Rejected,
+                                  RejectReason::Draining));
     }
     s.fifo.clear();
     dropSession(s);
 
-    Response r;
-    r.status = ServiceStatus::Ok;
+    Response r = statusOnly(ServiceStatus::Ok);
     r.shardTick = lib_.now();
     r.image = std::move(encoded);
-    s.inFlight.fetch_sub(1, std::memory_order_release);
-    complete(pending, std::move(r));
+    finish(pending, std::move(r));
+}
+
+bool
+ShardController::installVetoed(const SessionState &s,
+                               const SessionImage &image) const
+{
+    const bool reconfigures =
+        lib_.device().wordBits() != image.wordBytes * 8 ||
+        lib_.device().mode() != image.mode;
+    return reconfigures && othersHaveInits(s);
+}
+
+void
+ShardController::adoptImage(std::shared_ptr<SessionState> state,
+                            const SessionImage &image,
+                            std::vector<std::uint8_t> encoded)
+{
+    SessionState &s = *state;
+    installFromImage(s, image, /*fresh_alloc=*/true);
+    s.migratedAway = false;
+    // The Install record carries the session metadata, so no separate
+    // SessionOpen is due on this shard.
+    s.journalOpened = true;
+    stats_.inc("installs");
+    if (journal_.active()) {
+        JournalRecord rec;
+        rec.kind = JournalRecordKind::Install;
+        rec.sessionId = s.id;
+        rec.image = std::move(encoded);
+        appendRecord(rec);
+        journal_.commitBatch();
+    }
+    // Registered before any snapshot can run, so the snapshot that
+    // covers the Install record also holds the session.
+    registerSession(std::move(state));
 }
 
 void
@@ -955,72 +995,28 @@ ShardController::installSession(SessionState &s, Pending &pending)
               "%llu", index_,
               static_cast<unsigned long long>(s.id));
     }
-
-    Response r;
-    const unsigned want_bits = image.wordBytes * 8;
-    const bool reconfigures =
-        lib_.device().wordBits() != want_bits ||
-        lib_.device().mode() != image.mode;
-    if (reconfigures && othersHaveInits(s)) {
-        // Taking this session would re-mode the device under other
-        // tenants' live operations; the service must pick another
-        // peer.
-        r.status = ServiceStatus::Rejected;
-        r.reject = RejectReason::Reconfiguration;
+    if (installVetoed(s, image)) {
+        // The service must pick another peer.
         stats_.inc("rejectedReconfiguration");
-        s.inFlight.fetch_sub(1, std::memory_order_release);
-        complete(pending, std::move(r));
+        finish(pending, statusOnly(ServiceStatus::Rejected,
+                                   RejectReason::Reconfiguration));
         return;
     }
+    adoptImage(pending.session, image, std::move(pending.image));
+    maybeSnapshot();
 
-    installFromImage(s, image, /*fresh_alloc=*/true);
-    s.migratedAway = false;
-    stats_.inc("installs");
-    if (journal_.active() && !replaying_) {
-        JournalRecord rec;
-        rec.kind = JournalRecordKind::Install;
-        rec.sessionId = s.id;
-        rec.image = std::move(pending.image);
-        appendRecord(rec);
-        journal_.commitBatch();
-        // The Install record carries the session metadata, so no
-        // separate SessionOpen is due on this shard.
-        s.journalOpened = true;
-        maybeSnapshot();
-    }
-
-    r.status = ServiceStatus::Ok;
+    Response r = statusOnly(ServiceStatus::Ok);
     r.shardTick = lib_.now();
-    s.inFlight.fetch_sub(1, std::memory_order_release);
-    complete(pending, std::move(r));
+    finish(pending, std::move(r));
 }
 
 bool
 ShardController::installRecovered(std::shared_ptr<SessionState> state,
                                   const SessionImage &image)
 {
-    const unsigned want_bits = image.wordBytes * 8;
-    if ((lib_.device().wordBits() != want_bits ||
-         lib_.device().mode() != image.mode) &&
-        othersHaveInits(*state)) {
+    if (installVetoed(*state, image))
         return false;
-    }
-    SessionState &s = *state;
-    s.shard.store(index_, std::memory_order_relaxed);
-    s.controller.store(this, std::memory_order_relaxed);
-    installFromImage(s, image, /*fresh_alloc=*/true);
-    s.migratedAway = false;
-    s.journalOpened = true;
-    stats_.inc("installs");
-    if (journal_.active()) {
-        JournalRecord rec;
-        rec.kind = JournalRecordKind::Install;
-        rec.sessionId = s.id;
-        rec.image = encodeSessionImage(image);
-        appendRecord(rec);
-        journal_.commitBatch();
-    }
-    registerSession(std::move(state));
+    adoptImage(std::move(state), image, encodeSessionImage(image));
     return true;
 }
 
@@ -1039,7 +1035,7 @@ ShardController::appendRecord(JournalRecord &record)
 void
 ShardController::journalSessionOpenIfNeeded(SessionState &s)
 {
-    if (s.journalOpened || !journal_.active() || replaying_)
+    if (s.journalOpened || !journal_.active())
         return;
     s.journalOpened = true;
     JournalRecord rec;
@@ -1055,7 +1051,7 @@ void
 ShardController::journalOp(SessionState &s, const Request &req,
                            const Response &r)
 {
-    if (!journal_.active() || replaying_)
+    if (!journal_.active())
         return;
     journalSessionOpenIfNeeded(s);
     JournalRecord rec;
@@ -1072,8 +1068,7 @@ ShardController::journalOp(SessionState &s, const Request &req,
 void
 ShardController::maybeSnapshot()
 {
-    if (!journal_.active() || replaying_ ||
-        durability_.snapshotIntervalOps == 0 ||
+    if (!journal_.active() || durability_.snapshotIntervalOps == 0 ||
         durability_.snapshotPath.empty() ||
         opsSinceSnapshot_ < durability_.snapshotIntervalOps) {
         return;
@@ -1248,7 +1243,6 @@ ShardController::recover()
 
     std::uint64_t from = 0;
     std::uint64_t last_mark = 0;
-    replaying_ = true;
     if (durability_.recoveryMode == RecoveryMode::Snapshot &&
         !durability_.snapshotPath.empty()) {
         ShardSnapshot snap;
@@ -1259,7 +1253,6 @@ ShardController::recover()
         }
     }
     replayRecords(scan.records, from);
-    replaying_ = false;
 
     journalSeq_ = std::max(scan.lastSeq, from);
     for (const auto &rec : scan.records) {
@@ -1285,16 +1278,11 @@ ShardController::restoreFromSnapshot(const ShardSnapshot &snapshot)
         }
     }
     for (const auto &image : snapshot.sessions) {
-        auto s = std::make_shared<SessionState>();
-        s->id = image.id;
-        s->tenant = image.tenant;
-        s->weight = image.weight;
-        s->maxInFlight = image.maxInFlight;
-        s->shard.store(index_, std::memory_order_relaxed);
-        s->controller.store(this, std::memory_order_relaxed);
+        auto s = makeSessionState(image.id, image.tenant, image.weight,
+                                  image.maxInFlight);
         s->journalOpened = true;
         installFromImage(*s, image, /*fresh_alloc=*/false);
-        registerSession(s);
+        registerSession(std::move(s));
     }
     // The poke/re-init/re-extract sequence above advanced the clock;
     // the snapshot's tick is authoritative, so restore it last.
@@ -1324,33 +1312,15 @@ ShardController::replayRecords(
             continue;
         switch (rec.kind) {
           case JournalRecordKind::SessionOpen: {
-            auto s = std::make_shared<SessionState>();
-            s->id = rec.sessionId;
-            s->tenant = rec.tenant;
-            s->weight = rec.weight;
-            s->maxInFlight = rec.maxInFlight;
-            s->shard.store(index_, std::memory_order_relaxed);
-            s->controller.store(this, std::memory_order_relaxed);
+            auto s = makeSessionState(rec.sessionId, rec.tenant,
+                                      rec.weight, rec.maxInFlight);
             s->journalOpened = true;
             registerSession(std::move(s));
             break;
           }
           case JournalRecordKind::Op: {
-            SessionState &s = replaySession(rec.sessionId);
-            Request req = rec.req;
-            Response r;
-            // Mirror serveOne exactly: the deadline decision, the
-            // execute path, and the deterministic counters all replay
-            // the way they were served.
-            if (req.deadline != 0 && lib_.now() >= req.deadline) {
-                r.status = ServiceStatus::DeadlineExpired;
-                stats_.inc("deadlineExpired");
-                s.stats.inc("deadlineExpired");
-            } else {
-                r = execute(s, req);
-            }
-            stats_.inc("requests");
-            s.stats.inc("requests");
+            const Response r =
+                applyOp(replaySession(rec.sessionId), rec.req);
             if (r.status != rec.status) {
                 fatal("shard %u: replay diverged at seq %llu (%s): "
                       "status %s, journal says %s", index_,
@@ -1372,25 +1342,18 @@ ShardController::replayRecords(
           }
           case JournalRecordKind::SessionClose: {
             SessionState &s = replaySession(rec.sessionId);
-            for (const Addr base : s.allocations)
-                lib_.rimeFree(localBase(s, base));
-            s.allocations.clear();
-            s.initedRanges.clear();
-            s.addrTranslate.clear();
-            s.extractProgress.clear();
+            releaseSession(s);
             s.closed = true;
             stats_.inc("closes");
             break;
           }
           case JournalRecordKind::Migrated: {
             SessionState &s = replaySession(rec.sessionId);
-            for (const Addr base : s.allocations)
-                lib_.rimeFree(localBase(s, base));
-            s.allocations.clear();
-            s.initedRanges.clear();
-            s.addrTranslate.clear();
-            s.extractProgress.clear();
+            releaseSession(s);
             s.migratedAway = true;
+            // Where the live drain drops the session from the sweep,
+            // replay keeps it (its stat group belongs in the dump) and
+            // marks it closed instead.
             s.closed = true;
             stats_.inc("drains");
             // Kept as a re-home candidate: the service checks whether
@@ -1411,17 +1374,12 @@ ShardController::replayRecords(
                       "%llu", index_,
                       static_cast<unsigned long long>(rec.seq));
             }
-            auto s = std::make_shared<SessionState>();
-            s->id = rec.sessionId;
-            s->tenant = image.tenant;
-            s->weight = image.weight;
-            s->maxInFlight = image.maxInFlight;
-            s->shard.store(index_, std::memory_order_relaxed);
-            s->controller.store(this, std::memory_order_relaxed);
-            s->journalOpened = true;
-            installFromImage(*s, image, /*fresh_alloc=*/true);
-            stats_.inc("installs");
-            registerSession(std::move(s));
+            // No veto: the original install already passed it.  The
+            // journal is not open yet, so nothing is re-appended.
+            adoptImage(makeSessionState(rec.sessionId, image.tenant,
+                                        image.weight,
+                                        image.maxInFlight),
+                       image, {});
             break;
           }
           case JournalRecordKind::SnapshotMark:
@@ -1468,14 +1426,11 @@ ShardController::failAllPending()
     auto round = sessionSnapshot();
     for (const auto &sp : round) {
         for (auto &queued : sp->fifo) {
-            if (queued.control == Pending::Control::Close) {
+            const bool close = queued.control == Pending::Control::Close;
+            if (close)
                 sp->closed = true;
-            }
-            sp->inFlight.fetch_sub(1, std::memory_order_release);
-            Response r;
-            r.status = queued.control == Pending::Control::Close
-                ? ServiceStatus::Ok : ServiceStatus::Closed;
-            complete(queued, std::move(r));
+            finish(queued, statusOnly(close ? ServiceStatus::Ok
+                                            : ServiceStatus::Closed));
         }
         sp->fifo.clear();
         sp->closed = true;

@@ -9,7 +9,7 @@
  * Client threads interact exclusively through the queue: tryPushBatch
  * on the data path (what does not fit is shed by the caller with
  * Rejected/Backpressure, the device is never blocked), pushBlocking
- * only for the tiny close control message.
+ * only for the close, drain and install controls (control()).
  *
  * Scheduling comes in two flavours:
  *
@@ -34,10 +34,11 @@
  * Consecutive extractions of one session on the same range and
  * direction are batched: one dequeue/trace/accounting envelope covers
  * the run, amortizing the per-request overhead over the multi-chip
- * merge the way the DIMM buffers amortize the scan setup.  In
- * work-conserving mode the coalescing window widens past the session's
- * round budget up to SchedulerConfig::batchOps, so a drained batch of
- * same-range extractions rides one envelope instead of one per sweep.
+ * merge the way the DIMM buffers amortize the scan setup.  Lockstep
+ * caps the run at the session's round budget; work-conserving mode
+ * widens it to SchedulerConfig::batchOps when that is larger, so a
+ * drained batch of same-range extractions rides one envelope instead
+ * of one per sweep.
  *
  * Journaled shards group-commit: a served op's record is buffered and
  * its future withheld until the batch commits (one journal write, one
@@ -83,8 +84,6 @@ struct SchedulerConfig
 {
     /** Capacity of the shard's submission queue. */
     std::size_t queueCapacity = 256;
-    /** Largest run of extractions served as one batch. */
-    unsigned maxBatch = 32;
     /** Lockstep deterministic scheduling (see file comment). */
     bool deterministic = false;
     /**
@@ -188,6 +187,17 @@ struct SessionState
     StatGroup stats;
 };
 
+/**
+ * The one way to build a session's state from its metadata (client
+ * open, journal replay, snapshot restore, failover and cross-process
+ * install).  Weight and quota clamp to at least 1.  The shard and
+ * controller fields are set when a shard registers the session.
+ */
+std::shared_ptr<SessionState> makeSessionState(std::uint64_t id,
+                                               std::string tenant,
+                                               unsigned weight,
+                                               unsigned maxInFlight);
+
 /** One queued unit of work. */
 struct SessionState::Pending
 {
@@ -232,7 +242,11 @@ class ShardController
     /** Close the queue, serve the tail, and join the controller. */
     void stop();
 
-    /** Pin a session to this shard (called at session open). */
+    /**
+     * Pin a session to this shard: sets its `shard` and `controller`
+     * and adds it to the sweep (session open, recovery, and after a
+     * successful install).
+     */
     void registerSession(std::shared_ptr<SessionState> session);
 
     /**
@@ -243,8 +257,17 @@ class ShardController
      */
     std::size_t submitDataBatch(std::vector<Pending> &batch);
 
-    /** Control-path submit: waits for space; false once stopped. */
-    bool submitControl(Pending &&pending);
+    /**
+     * Control-path call, the only one: queue a Close, Drain or Install
+     * control for `session` behind everything it already queued, wait
+     * for space and then for the response.  The control takes an
+     * in-flight slot unconditionally (quota never blocks a control).
+     * Closed when the shard has stopped.  `image` is the encoded
+     * SessionImage an Install takes over.
+     */
+    Response control(Pending::Control kind,
+                     std::shared_ptr<SessionState> session,
+                     std::vector<std::uint8_t> image = {});
 
     /** Sessions currently pinned (for placement). */
     std::size_t sessionCount() const;
@@ -370,11 +393,22 @@ class ShardController
     void flushBatch();
     /** flushBatch body; requires statsMutex_ held. */
     void flushBatchLocked();
-    Response execute(SessionState &s, Request &req);
+    /**
+     * Apply one data op, the same way when serving and when replaying
+     * the journal: the deadline decision against the simulated clock,
+     * the device op, and the deterministic `requests` and
+     * `deadlineExpired` counters.
+     */
+    Response applyOp(SessionState &s, const Request &req);
     /** Session owns an allocation fully covering [start, end)? */
     bool ownsRange(const SessionState &s, Addr start, Addr end);
     bool othersHaveInits(const SessionState &s) const;
     void closeSession(SessionState &s, Pending &pending);
+    /**
+     * Free every allocation of a closing or departing session and
+     * forget its ranges, translations and extraction progress.
+     */
+    void releaseSession(SessionState &s);
     void dropSession(const SessionState &s);
     /** Complete every queued request with Closed (shutdown path). */
     void failAllPending();
@@ -421,6 +455,22 @@ class ShardController
     void drainSession(SessionState &s, Pending &pending);
     /** Serve an Install control: take over a drained session. */
     void installSession(SessionState &s, Pending &pending);
+    /**
+     * Installing `image` would re-mode the device under other tenants'
+     * live operations (the install must go to another shard).
+     */
+    bool installVetoed(const SessionState &s,
+                       const SessionImage &image) const;
+    /**
+     * Adopt a drained session from its image (live install, orphan
+     * re-home, journal replay): rebuild its state, count the install,
+     * journal the Install record (`encoded`, the image's bytes) when
+     * the journal is open, and register the session here.  The caller
+     * has checked the veto.
+     */
+    void adoptImage(std::shared_ptr<SessionState> state,
+                    const SessionImage &image,
+                    std::vector<std::uint8_t> encoded);
 
     const unsigned index_;
     const SchedulerConfig config_;
@@ -459,8 +509,6 @@ class ShardController
     std::uint64_t journalSeq_ = 0;
     /** Records appended since the last snapshot. */
     std::uint64_t opsSinceSnapshot_ = 0;
-    /** True while replaying: suppresses re-journaling. */
-    bool replaying_ = false;
     std::vector<SessionImage> orphanedMigrations_;
 
     /**

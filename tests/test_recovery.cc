@@ -42,6 +42,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -851,6 +852,65 @@ TEST(CrashRecovery, SnapshotModeRecoversExactStateTwice)
 }
 
 // ---------------------------------------------------------------------
+// A deadline-expired op is journaled with its status and replays
+// through the same apply path as live serving: no divergence, and the
+// deterministic counters (deadlineExpired included) match.
+// ---------------------------------------------------------------------
+
+TEST(CrashRecovery, DeadlineExpiredOpReplaysBitIdentically)
+{
+    TempDirs tmp;
+    const std::string dir = tmp.make();
+    auto keys = scriptKeys(63);
+    Addr base = 0;
+    std::string live_dump;
+    {
+        RimeService svc(journaledConfig(dir, 0));
+        auto s = svc.openSession(scriptSessionConfig());
+        base = s->malloc(kRangeBytes).get().addr;
+        ASSERT_TRUE(s->storeArray(base, keys).get().ok());
+        ASSERT_TRUE(s->init(base, base + kRangeBytes,
+                            KeyMode::UnsignedFixed)
+                        .get()
+                        .ok());
+        const Response first = s->min(base, base + kRangeBytes).get();
+        ASSERT_TRUE(first.ok());
+        // A deadline still ahead of the shard clock is served...
+        ASSERT_TRUE(s->max(base, base + kRangeBytes,
+                           std::numeric_limits<Tick>::max())
+                        .get()
+                        .ok());
+        // ...one the simulated clock already passed is not.
+        const Response late =
+            s->min(base, base + kRangeBytes, first.shardTick).get();
+        ASSERT_EQ(late.status, ServiceStatus::DeadlineExpired);
+        ASSERT_TRUE(s->min(base, base + kRangeBytes).get().ok());
+        live_dump = svc.statDumpJson(false);
+        svc.shutdown(); // keep the session open in the journal
+    }
+    ASSERT_NE(live_dump.find("deadlineExpired"), std::string::npos);
+    unsigned expired = 0;
+    for (const auto &rec : readJournal(journalPath(dir)).records) {
+        expired += rec.kind == JournalRecordKind::Op &&
+                rec.status == ServiceStatus::DeadlineExpired
+            ? 1 : 0;
+    }
+    EXPECT_EQ(expired, 1u);
+
+    RimeService recovered(journaledConfig(dir, 0));
+    EXPECT_EQ(recovered.statDumpJson(false), live_dump);
+    auto handles = recovered.recoveredSessions();
+    ASSERT_EQ(handles.size(), 1u);
+    // The expired Min consumed nothing: the stream continues after
+    // the two minima and the maximum that were served.
+    std::sort(keys.begin(), keys.end());
+    const Response next = handles.front()->min(base, base + kRangeBytes).get();
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(next.items[0].raw, keys[2]);
+    handles.front()->close();
+}
+
+// ---------------------------------------------------------------------
 // A torn tail (partial frame) is dropped, and the journal stays
 // appendable (and fully readable) after recovery truncates it.
 // ---------------------------------------------------------------------
@@ -998,6 +1058,197 @@ TEST(Failover, MigratedSessionSurvivesRestart)
               std::vector<std::uint64_t>(keys.begin() + 3,
                                          keys.end() - 1));
     handles.front()->close();
+}
+
+// The cross-process hand-off: a session drained from one instance and
+// installed on a journaled one survives restarts of the installing
+// instance in both recovery modes.
+TEST(Failover, CrossProcessInstallSurvivesRestart)
+{
+    TempDirs tmp;
+    const std::string dir = tmp.make();
+    auto keys = scriptKeys(101);
+    auto keys2 = scriptKeys(102);
+
+    // Drain side: an unjournaled instance whose session has consumed
+    // two minima.
+    std::vector<std::uint8_t> image;
+    Addr base = 0;
+    {
+        ServiceConfig cfg;
+        cfg.shards = 1;
+        RimeService source(std::move(cfg));
+        auto s = source.openSession(scriptSessionConfig());
+        base = s->malloc(kRangeBytes).get().addr;
+        ASSERT_TRUE(s->storeArray(base, keys).get().ok());
+        ASSERT_TRUE(s->init(base, base + kRangeBytes,
+                            KeyMode::UnsignedFixed)
+                        .get()
+                        .ok());
+        ASSERT_TRUE(s->min(base, base + kRangeBytes).get().ok());
+        ASSERT_TRUE(s->min(base, base + kRangeBytes).get().ok());
+        image = source.drainSessionImage(s->id());
+        s->detach();
+    }
+    ASSERT_FALSE(image.empty());
+    std::sort(keys.begin(), keys.end());
+    std::sort(keys2.begin(), keys2.end());
+
+    Addr base2 = 0;
+    {
+        RimeService svc(journaledConfig(dir, 3));
+        // A tenant that allocated first moves the adopted extent to
+        // another local address than the one the client knows.
+        SessionConfig other = scriptSessionConfig();
+        other.tenant = "beta";
+        auto bystander = svc.openSession(other);
+        ASSERT_TRUE(bystander->malloc(kRangeBytes).get().ok());
+        auto s = svc.installSessionImage(image);
+        ASSERT_NE(s, nullptr);
+        bystander->close();
+
+        Response r = s->min(base, base + kRangeBytes).get();
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.items[0].raw, keys[2]);
+        r = s->max(base, base + kRangeBytes).get();
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.items[0].raw, keys.back());
+        const Response m2 = s->malloc(kRangeBytes).get();
+        ASSERT_TRUE(m2.ok());
+        base2 = m2.addr;
+        ASSERT_TRUE(s->storeArray(base2, scriptKeys(102)).get().ok());
+        ASSERT_TRUE(s->init(base2, base2 + kRangeBytes,
+                            KeyMode::UnsignedFixed)
+                        .get()
+                        .ok());
+        r = s->min(base2, base2 + kRangeBytes).get();
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.items[0].raw, keys2[0]);
+        svc.shutdown(); // keep the session open in the journal
+    }
+
+    {
+        RimeService svc(journaledConfig(dir, 3));
+        auto handles = svc.recoveredSessions();
+        ASSERT_EQ(handles.size(), 1u);
+        Response r = handles.front()->min(base, base + kRangeBytes).get();
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.items[0].raw, keys[3]);
+        r = handles.front()->min(base2, base2 + kRangeBytes).get();
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.items[0].raw, keys2[1]);
+        svc.shutdown();
+    }
+
+    ASSERT_TRUE(std::filesystem::exists(dir + "/shard0.snapshot"));
+    RimeService svc(journaledConfig(dir, 3, RecoveryMode::Snapshot));
+    auto handles = svc.recoveredSessions();
+    ASSERT_EQ(handles.size(), 1u);
+    auto &s = *handles.front();
+    const Response rest = s.sort(base, base + kRangeBytes).get();
+    ASSERT_TRUE(extractionDone(rest));
+    EXPECT_EQ(itemValues(rest),
+              std::vector<std::uint64_t>(keys.begin() + 4,
+                                         keys.end() - 1));
+    const Response rest2 = s.sort(base2, base2 + kRangeBytes).get();
+    ASSERT_TRUE(extractionDone(rest2));
+    EXPECT_EQ(itemValues(rest2),
+              std::vector<std::uint64_t>(keys2.begin() + 2, keys2.end()));
+    s.close();
+}
+
+// Snapshot-mode recovery of a migrated session whose extents live at
+// other local addresses than the client's (a translated base and an
+// alias-window allocation).  Shard 1 journals the bystander's open and
+// malloc, the Install, the alias malloc and its store; interval 3 puts
+// the last snapshot right at the Install, so the session must already
+// be in that snapshot, and intervals 1 and 2 snapshot the alias extent
+// too.
+TEST(Failover, SnapshotModeRestoresMigratedAliasedSession)
+{
+    for (const std::uint64_t interval : {1u, 2u, 3u}) {
+        SCOPED_TRACE(interval);
+        TempDirs tmp;
+        const std::string dir = tmp.make();
+        auto keys = scriptKeys(111);
+        auto keys2 = scriptKeys(112);
+        Addr base = 0, alias = 0;
+        {
+            ServiceConfig cfg = journaledConfig(dir, interval);
+            cfg.shards = 2;
+            RimeService svc(std::move(cfg));
+            // A tenant already on shard 1 moves the migrated extent to
+            // another local address there.
+            SessionConfig other = scriptSessionConfig();
+            other.tenant = "beta";
+            other.shard = 1;
+            auto bystander = svc.openSession(other);
+            ASSERT_TRUE(bystander->malloc(kRangeBytes).get().ok());
+
+            auto s = svc.openSession(scriptSessionConfig());
+            base = s->malloc(kRangeBytes).get().addr;
+            ASSERT_TRUE(s->storeArray(base, keys).get().ok());
+            ASSERT_TRUE(s->init(base, base + kRangeBytes,
+                                KeyMode::UnsignedFixed)
+                            .get()
+                            .ok());
+            ASSERT_TRUE(s->min(base, base + kRangeBytes).get().ok());
+            ASSERT_TRUE(s->min(base, base + kRangeBytes).get().ok());
+            ASSERT_EQ(svc.drainShard(0), 1u);
+            ASSERT_EQ(s->shard(), 1u);
+
+            const Response m2 = s->malloc(kRangeBytes).get();
+            ASSERT_TRUE(m2.ok());
+            alias = m2.addr;
+            EXPECT_GE(alias, Addr{1} << 62); // the alias window
+            ASSERT_TRUE(s->storeArray(alias, keys2).get().ok());
+            svc.shutdown(); // keep both sessions open in the journal
+        }
+        std::sort(keys.begin(), keys.end());
+        std::sort(keys2.begin(), keys2.end());
+
+        // The snapshot the restart loads holds the migrated session
+        // with its extents at other local addresses.
+        ShardSnapshot snap;
+        ASSERT_TRUE(readSnapshotFile(dir + "/shard1.snapshot", snap));
+        unsigned translated = 0;
+        for (const auto &img : snap.sessions) {
+            for (const auto &a : img.allocations)
+                translated += a.localAddr != a.addr ? 1 : 0;
+        }
+        EXPECT_EQ(translated, interval == 3 ? 1u : 2u);
+
+        ServiceConfig rcfg =
+            journaledConfig(dir, interval, RecoveryMode::Snapshot);
+        rcfg.shards = 2;
+        RimeService svc(std::move(rcfg));
+        auto handles = svc.recoveredSessions();
+        ASSERT_EQ(handles.size(), 2u);
+        auto &s = *(handles[0]->tenant() == "alpha" ? handles[0]
+                                                    : handles[1]);
+        ASSERT_EQ(s.tenant(), "alpha");
+        Response r = s.min(base, base + kRangeBytes).get();
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.items[0].raw, keys[2]);
+        ASSERT_TRUE(s.init(alias, alias + kRangeBytes,
+                           KeyMode::UnsignedFixed)
+                        .get()
+                        .ok());
+        r = s.min(alias, alias + kRangeBytes).get();
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.items[0].raw, keys2[0]);
+        const Response rest = s.sort(base, base + kRangeBytes).get();
+        ASSERT_TRUE(extractionDone(rest));
+        EXPECT_EQ(itemValues(rest),
+                  std::vector<std::uint64_t>(keys.begin() + 3, keys.end()));
+        const Response rest2 = s.sort(alias, alias + kRangeBytes).get();
+        ASSERT_TRUE(extractionDone(rest2));
+        EXPECT_EQ(itemValues(rest2),
+                  std::vector<std::uint64_t>(keys2.begin() + 1,
+                                             keys2.end()));
+        for (auto &h : handles)
+            h->close();
+    }
 }
 
 TEST(Failover, MaintainDrainsWornShard)

@@ -446,7 +446,6 @@ lockstepSoakDump(unsigned host_threads, unsigned client_groups,
     cfg.library.device.hostThreads = host_threads;
     cfg.scheduler.deterministic = true;
     cfg.scheduler.queueCapacity = 64;
-    cfg.scheduler.maxBatch = 8;
     if (batch_ops != 0)
         cfg.scheduler.batchOps = batch_ops;
     RimeService svc(std::move(cfg));
