@@ -78,11 +78,13 @@ BM_ColumnSearch(benchmark::State &state)
         array.writeRowBits(row, 0, 32,
                            rng() & 0xFFFFFFFF);
     BitVector select(512);
-    select.setAll();
+    select.setRange(0, 512);
+    BitVector match(512);
     unsigned col = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            array.columnSearch(col, true, select));
+            array.columnSearchInto(col, true, select, match));
+        benchmark::DoNotOptimize(match.words());
         col = (col + 1) % 32;
     }
 }

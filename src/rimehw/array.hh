@@ -10,14 +10,15 @@
  * structure of the physical selectline sensing.
  *
  * Column words are 64-byte aligned (one 512-row column is exactly one
- * cache line), and with a SIMD kernel table dispatched the column
- * search runs vectorized (kernels.hh); the original scalar word loop
- * stays inline as the RIME_SIMD=0 reference path.
+ * cache line).  Every column search runs through the dispatched
+ * kernel table (kernels.hh), scalar or SIMD; the array itself holds
+ * no copy of the word loops.
  */
 
 #ifndef RIME_RIMEHW_ARRAY_HH
 #define RIME_RIMEHW_ARRAY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -28,24 +29,6 @@
 
 namespace rime::rimehw
 {
-
-/** Result of a bitwise column search over the selected rows. */
-struct ColumnSearchResult
-{
-    /** Selected rows whose cell matches the search bit. */
-    BitVector match{0};
-    /** At least one selected row matched. */
-    bool anyMatch = false;
-    /** At least one selected row did not match. */
-    bool anyMismatch = false;
-};
-
-/** Just the two per-mat wired-OR signals of a column search. */
-struct ColumnSearchSignals
-{
-    bool anyMatch = false;
-    bool anyMismatch = false;
-};
 
 /** One memristive subarray. */
 class RramArray
@@ -160,90 +143,73 @@ class RramArray
     }
 
     /**
-     * Bitwise column search (Figure 7): sense the selected cells of one
-     * column and XNOR against the reference search bit.
+     * Bitwise column search (Figure 7): sense the selected cells of
+     * one column and XNOR against the reference search bit, writing
+     * the match vector into `match` (rows() wide) and returning the
+     * wired-OR signals.  Allocation-free; the recorded-match scan
+     * step.
+     *
+     * With a fault model attached, the epoch's read-disturb masks are
+     * gathered into bounded stack scratch, kMaxKernelWords column
+     * words at a time, and each slice goes through the kernel with
+     * its signals ORed together -- so arrays of any height take the
+     * same kernel path.
      *
      * @param col        physical column index
      * @param search_bit the 1-bit search key
      * @param select     current select vector (one bit per row)
      */
-    ColumnSearchResult
-    columnSearch(unsigned col, bool search_bit,
-                 const BitVector &select) const
-    {
-        ColumnSearchResult result;
-        result.match = BitVector(rows_);
-        const auto signals =
-            columnSearchInto(col, search_bit, select, result.match);
-        result.anyMatch = signals.anyMatch;
-        result.anyMismatch = signals.anyMismatch;
-        return result;
-    }
-
-    /**
-     * Allocation-free column search: write the match vector into
-     * `match` (which must be rows() wide) and return the wired-OR
-     * signals.  One pass over the column words; the hot path of a
-     * scan step.
-     */
-    ColumnSearchSignals
+    kernels::SearchSignals
     columnSearchInto(unsigned col, bool search_bit,
                      const BitVector &select, BitVector &match) const
     {
+        const kernels::KernelTable &kt = kernels::active();
         const std::uint64_t *col_words = &columns_[colBase(col)];
-        if (kernels::simdEnabled()) {
-            // Gather the per-word disturb masks (zero-cost when no
-            // fault model is attached) so the kernel operates on
-            // plain arrays; bounded stack scratch, no allocation.
-            const std::uint64_t *disturb = nullptr;
-            std::uint64_t dbuf[kMaxKernelWords];
-            if (faults_) {
-                if (wordsPerCol_ > kMaxKernelWords)
-                    return columnSearchRef(col, search_bit,
-                                           select, match);
-                const std::uint64_t epoch = faults_->epoch();
-                for (unsigned w = 0; w < wordsPerCol_; ++w)
-                    dbuf[w] = faults_->disturbWord(arrayId_, col, w,
-                                                   epoch);
-                disturb = dbuf;
-            }
-            const auto sig = kernels::active().columnSearch(
-                col_words, disturb, select.words(), match.words(),
-                wordsPerCol_, search_bit);
-            return {sig.anyMatch, sig.anyMismatch};
+        if (!faults_)
+            return kt.columnSearch(col_words, nullptr, select.words(),
+                                   match.words(), wordsPerCol_,
+                                   search_bit);
+        const std::uint64_t epoch = faults_->epoch();
+        std::uint64_t dbuf[kMaxKernelWords];
+        kernels::SearchSignals sig;
+        for (unsigned base = 0; base < wordsPerCol_;
+             base += kMaxKernelWords) {
+            const unsigned n =
+                std::min(kMaxKernelWords, wordsPerCol_ - base);
+            for (unsigned w = 0; w < n; ++w)
+                dbuf[w] = faults_->disturbWord(arrayId_, col, base + w,
+                                               epoch);
+            const auto part = kt.columnSearch(
+                col_words + base, dbuf, select.words() + base,
+                match.words() + base, n, search_bit);
+            sig.anyMatch = sig.anyMatch || part.anyMatch;
+            sig.anyMismatch = sig.anyMismatch || part.anyMismatch;
         }
-        return columnSearchRef(col, search_bit, select, match);
+        return sig;
     }
 
     /**
-     * Signals-only probe (the SIMD fast path): compute the wired-OR
-     * signals without writing a match vector.  Only valid when no
-     * fault model is attached -- the match must be recomputable from
-     * the stored column at commit time (commitSearch) -- so this
-     * returns false when the caller must use columnSearchInto.
+     * Signals-only column search (the fused scan's probe): the
+     * wired-OR signals without writing a match vector.  Ignores read
+     * disturb -- the match must be recomputable from the stored
+     * column at commit time (commitSearch) -- so only a fault-free
+     * scan may use it.
      */
-    bool
-    probeSignals(unsigned col, bool search_bit,
-                 const BitVector &select,
-                 ColumnSearchSignals &out) const
+    kernels::SearchSignals
+    searchSignals(unsigned col, bool search_bit,
+                  const BitVector &select) const
     {
-        if (!kernels::simdEnabled() || faults_)
-            return false;
-        const auto sig = kernels::active().searchSignals(
+        return kernels::active().searchSignals(
             &columns_[colBase(col)], select.words(), wordsPerCol_,
             search_bit);
-        out.anyMatch = sig.anyMatch;
-        out.anyMismatch = sig.anyMismatch;
-        return true;
     }
 
     /**
-     * Fused commit for a probeSignals probe: select &= ~match with
+     * Fused commit for a searchSignals probe: select &= ~match with
      * the match recomputed from the stored column, returning the
-     * surviving count.  Caller guarantees select is unchanged since
-     * the probe and no fault model is attached; the result is
-     * bit-identical to select.andNotCount(match) on the match the
-     * probe would have recorded.
+     * surviving count.  Caller guarantees no fault model is attached;
+     * the result is bit-identical to select.andNotCount(match) on the
+     * match columnSearchInto would have recorded.
      */
     unsigned
     commitSearch(unsigned col, bool search_bit,
@@ -255,36 +221,9 @@ class RramArray
     }
 
   private:
-    /** Tallest array the stack disturb-gather buffer covers. */
+    /** Column words per disturb-gather slice (stack scratch). */
     static constexpr unsigned kMaxKernelWords = 16;
 
-    /** The scalar reference column search (the pre-SIMD loop). */
-    ColumnSearchSignals
-    columnSearchRef(unsigned col, bool search_bit,
-                    const BitVector &select, BitVector &match) const
-    {
-        ColumnSearchSignals signals;
-        const std::uint64_t *col_words = &columns_[colBase(col)];
-        std::uint64_t any_match = 0;
-        std::uint64_t any_mismatch = 0;
-        for (unsigned w = 0; w < wordsPerCol_; ++w) {
-            const std::uint64_t sel = select.word(w);
-            std::uint64_t bits = col_words[w];
-            if (faults_) {
-                bits ^= faults_->disturbWord(arrayId_, col, w,
-                                             faults_->epoch());
-            }
-            const std::uint64_t m = sel & (search_bit ? bits : ~bits);
-            match.setWord(w, m);
-            any_match |= m;
-            any_mismatch |= sel & ~m;
-        }
-        signals.anyMatch = any_match != 0;
-        signals.anyMismatch = any_mismatch != 0;
-        return signals;
-    }
-
-  private:
     std::size_t
     colBase(unsigned col) const
     {

@@ -3,12 +3,11 @@
  * A fixed-width packed bit vector used for select vectors, match
  * vectors, and exclusion flags in the bit-level RIME array model.
  *
- * Word storage is 64-byte aligned (kernels.hh WordVector) so the
- * bulk operations can run on the dispatched SIMD kernel table.  Each
- * bulk op keeps its original scalar loop inline as the reference
- * path: with RIME_SIMD=0 (kernels::simdEnabled() false) exactly the
- * pre-SIMD code executes, which is what the scalar/SIMD A/B gates in
- * the benches and CI compare against.
+ * Word storage is 64-byte aligned (kernels.hh WordVector).  Every
+ * bulk op calls the dispatched kernel table, whichever ISA it is:
+ * RIME_SIMD=0 runs the scalar table, the reference the SIMD tables
+ * are tested against.  Only single-bit access and the any() and
+ * firstSet() scans, which no kernel covers, stay inline.
  */
 
 #ifndef RIME_RIMEHW_BITVECTOR_HH
@@ -55,66 +54,21 @@ class BitVector
     }
 
     /** Set bits [begin, end) to one (word-parallel). */
-    void
-    setRange(unsigned begin, unsigned end)
-    {
-        if (kernels::simdEnabled()) {
-            rangeOp(begin, end, true);
-            return;
-        }
-        applyRange(begin, end, [](std::uint64_t &w, std::uint64_t m) {
-            w |= m;
-        });
-    }
+    void setRange(unsigned begin, unsigned end)
+    { rangeOp(begin, end, true); }
 
     /** Clear bits [begin, end) (word-parallel). */
-    void
-    clearRange(unsigned begin, unsigned end)
-    {
-        if (kernels::simdEnabled()) {
-            rangeOp(begin, end, false);
-            return;
-        }
-        applyRange(begin, end, [](std::uint64_t &w, std::uint64_t m) {
-            w &= ~m;
-        });
-    }
+    void clearRange(unsigned begin, unsigned end)
+    { rangeOp(begin, end, false); }
 
-    void
-    clearAll()
-    {
-        if (kernels::simdEnabled()) {
-            kernels::active().fill(words_.data(), 0, numWords());
-            return;
-        }
-        for (auto &w : words_)
-            w = 0;
-    }
-
-    void
-    setAll()
-    {
-        if (kernels::simdEnabled()) {
-            kernels::active().fill(words_.data(), ~0ULL, numWords());
-            trim();
-            return;
-        }
-        for (auto &w : words_)
-            w = ~0ULL;
-        trim();
-    }
+    void clearAll()
+    { kernels::active().fill(words_.data(), 0, numWords()); }
 
     /** Number of set bits. */
     unsigned
     count() const
     {
-        if (kernels::simdEnabled())
-            return kernels::active().popcount(words_.data(),
-                                              numWords());
-        unsigned n = 0;
-        for (auto w : words_)
-            n += static_cast<unsigned>(std::popcount(w));
-        return n;
+        return kernels::active().popcount(words_.data(), numWords());
     }
 
     bool
@@ -142,46 +96,12 @@ class BitVector
     std::uint64_t word(unsigned i) const { return words_[i]; }
     void setWord(unsigned i, std::uint64_t w) { words_[i] = w; }
 
-    BitVector &
-    operator&=(const BitVector &other)
-    {
-        if (kernels::simdEnabled()) {
-            kernels::active().andWords(words_.data(),
-                                       other.words_.data(),
-                                       numWords());
-            return *this;
-        }
-        for (unsigned i = 0; i < words_.size(); ++i)
-            words_[i] &= other.words_[i];
-        return *this;
-    }
-
-    BitVector &
-    operator|=(const BitVector &other)
-    {
-        if (kernels::simdEnabled()) {
-            kernels::active().orWords(words_.data(),
-                                      other.words_.data(),
-                                      numWords());
-            return *this;
-        }
-        for (unsigned i = 0; i < words_.size(); ++i)
-            words_[i] |= other.words_[i];
-        return *this;
-    }
-
     /** this &= ~other (remove the bits set in other). */
     BitVector &
     andNot(const BitVector &other)
     {
-        if (kernels::simdEnabled()) {
-            kernels::active().andNot(words_.data(),
-                                     other.words_.data(),
-                                     numWords());
-            return *this;
-        }
-        for (unsigned i = 0; i < words_.size(); ++i)
-            words_[i] &= ~other.words_[i];
+        kernels::active().andNot(words_.data(), other.words_.data(),
+                                 numWords());
         return *this;
     }
 
@@ -192,15 +112,8 @@ class BitVector
     unsigned
     andNotCount(const BitVector &other)
     {
-        if (kernels::simdEnabled())
-            return kernels::active().andNotCount(
-                words_.data(), other.words_.data(), numWords());
-        unsigned n = 0;
-        for (unsigned i = 0; i < words_.size(); ++i) {
-            words_[i] &= ~other.words_[i];
-            n += static_cast<unsigned>(std::popcount(words_[i]));
-        }
-        return n;
+        return kernels::active().andNotCount(
+            words_.data(), other.words_.data(), numWords());
     }
 
     /**
@@ -210,16 +123,9 @@ class BitVector
     unsigned
     assignAndNotCount(const BitVector &base, const BitVector &mask)
     {
-        if (kernels::simdEnabled())
-            return kernels::active().assignAndNotCount(
-                words_.data(), base.words_.data(),
-                mask.words_.data(), numWords());
-        unsigned n = 0;
-        for (unsigned i = 0; i < words_.size(); ++i) {
-            words_[i] = base.words_[i] & ~mask.words_[i];
-            n += static_cast<unsigned>(std::popcount(words_[i]));
-        }
-        return n;
+        return kernels::active().assignAndNotCount(
+            words_.data(), base.words_.data(), mask.words_.data(),
+            numWords());
     }
 
     bool
@@ -230,34 +136,8 @@ class BitVector
 
   private:
     /**
-     * Apply op(word, mask) to every word overlapping [begin, end),
-     * with mask covering the in-range bits of that word.
-     */
-    template <typename WordOp>
-    void
-    applyRange(unsigned begin, unsigned end, WordOp op)
-    {
-        if (begin >= end)
-            return;
-        const unsigned first = begin >> 6;
-        const unsigned last = (end - 1) >> 6;
-        const std::uint64_t head = ~0ULL << (begin & 63);
-        const std::uint64_t tail =
-            ~0ULL >> (63 - ((end - 1) & 63));
-        if (first == last) {
-            op(words_[first], head & tail);
-            return;
-        }
-        op(words_[first], head);
-        for (unsigned wi = first + 1; wi < last; ++wi)
-            op(words_[wi], ~0ULL);
-        op(words_[last], tail);
-    }
-
-    /**
-     * Kernel-backed range set/clear: masked edits of the boundary
-     * words, a vector fill of the full words between them.  Produces
-     * exactly the words applyRange produces.
+     * Range set/clear: masked edits of the boundary words, a kernel
+     * fill of the full words between them.
      */
     void
     rangeOp(unsigned begin, unsigned end, bool value)
@@ -285,15 +165,6 @@ class BitVector
                                    value ? ~0ULL : 0,
                                    last - first - 1);
         edit(words_[last], tail);
-    }
-
-    /** Zero any bits beyond nbits_ in the last word. */
-    void
-    trim()
-    {
-        const unsigned rem = nbits_ & 63;
-        if (rem && !words_.empty())
-            words_.back() &= (1ULL << rem) - 1;
     }
 
     unsigned nbits_;

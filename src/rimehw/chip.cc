@@ -497,14 +497,18 @@ RimeChip::runScanSteps(bool find_max, std::uint64_t survivors)
     ThreadPool &pool = ThreadPool::global();
     Tracer &tracer = Tracer::global();
     const unsigned shards = shardCount();
-    // With SIMD dispatched and no fault model, probes are pure
-    // signal reductions (no recorded match vector) and commits
-    // recompute the match from the stored column.  Probing can then
-    // stop the moment a shard's wired-OR signals both saturate --
-    // further probes only OR in more -- which skips most of the
-    // probe pass on split-heavy steps.  The recorded-match path
-    // cannot early-exit: its commit consumes the probe's output.
-    const bool fused = kernels::simdEnabled() && !faults_;
+    // The one recorded-vs-fused decision of the scan path.  The
+    // fused scan (no fault model, SIMD dispatched) probes with pure
+    // signal reductions and commits by recomputing the match from
+    // the stored column, so probing can stop the moment a shard's
+    // wired-OR signals both saturate -- further probes only OR in
+    // more -- which skips most of the probe pass on split-heavy
+    // steps.  The recorded scan keeps each unit's match vector: read
+    // disturb makes the match unrecomputable, and its commit consumes
+    // every probe's output, so it cannot early-exit.  RIME_SIMD=0
+    // keeps the recorded scan, so the scalar/SIMD A/B also compares
+    // the two scans.
+    const bool record = faults_ || !kernels::simdEnabled();
     bool negatives_present = false;
     if (survivors > 1 || !timing_.earlyTermination) {
         for (unsigned s = 0; s < k_; ++s) {
@@ -523,11 +527,11 @@ RimeChip::runScanSteps(bool find_max, std::uint64_t survivors)
                         unsigned shard) {
                         bool m = false, mm = false;
                         for (std::size_t i = lo; i < hi; ++i) {
-                            const auto probe =
-                                activeUnits_[i]->probe(s, search_bit);
+                            const auto probe = activeUnits_[i]->probe(
+                                s, search_bit, record);
                             m = m || probe.anyMatch;
                             mm = mm || probe.anyMismatch;
-                            if (fused && m && mm)
+                            if (!record && m && mm)
                                 break;
                         }
                         shardScratch_[shard].anyMatch = m;
@@ -554,17 +558,9 @@ RimeChip::runScanSteps(bool find_max, std::uint64_t survivors)
                     [&](std::size_t lo, std::size_t hi,
                         unsigned shard) {
                         std::uint64_t n = 0;
-                        if (fused) {
-                            for (std::size_t i = lo; i < hi; ++i) {
-                                n += activeUnits_[i]
-                                    ->commitFusedAndCount(s,
-                                                          search_bit);
-                            }
-                        } else {
-                            for (std::size_t i = lo; i < hi; ++i)
-                                n += activeUnits_[i]
-                                    ->commitAndCount(true);
-                        }
+                        for (std::size_t i = lo; i < hi; ++i)
+                            n += activeUnits_[i]->commitAndCount(
+                                s, search_bit, record);
                         shardScratch_[shard].survivors = n;
                     });
                 survivors = 0;

@@ -2,12 +2,12 @@
  * @file
  * Scalar bit-plane kernels and the runtime dispatcher.
  *
- * The scalar implementations here are line-for-line the word loops of
- * the pre-SIMD BitVector/RramArray code; they define the reference
- * semantics every ISA variant must reproduce bit for bit.  Dispatch
- * picks the best table for the host once (RIME_SIMD knob, CPUID) and
- * publishes it through kernels::detail so the hot paths pay one
- * predictable branch, no locks.
+ * The scalar implementations here are the one reference: they define
+ * the semantics every ISA variant must reproduce bit for bit, and
+ * they are the table RIME_SIMD=0 (or a host without SIMD) runs.
+ * Dispatch picks the best table for the host once (RIME_SIMD knob,
+ * CPUID) and publishes it through kernels::detail; the hot paths
+ * load one pointer, no locks.
  */
 
 #include "rimehw/kernels.hh"
@@ -104,20 +104,6 @@ scalarAndNot(std::uint64_t *dst, const std::uint64_t *mask, unsigned n)
         dst[i] &= ~mask[i];
 }
 
-void
-scalarAndWords(std::uint64_t *dst, const std::uint64_t *src, unsigned n)
-{
-    for (unsigned i = 0; i < n; ++i)
-        dst[i] &= src[i];
-}
-
-void
-scalarOrWords(std::uint64_t *dst, const std::uint64_t *src, unsigned n)
-{
-    for (unsigned i = 0; i < n; ++i)
-        dst[i] |= src[i];
-}
-
 unsigned
 scalarPopcount(const std::uint64_t *src, unsigned n)
 {
@@ -141,8 +127,6 @@ constexpr KernelTable kScalarTable = {
     scalarAndNotCount,
     scalarAssignAndNotCount,
     scalarAndNot,
-    scalarAndWords,
-    scalarOrWords,
     scalarPopcount,
     scalarFill,
     "scalar",

@@ -1,8 +1,8 @@
 /**
  * @file
- * SIMD kernel layer for the bit-plane hot loops of the RIME scan
- * path: column search, fused commit+popcount, select-latch load,
- * range fills, and BitVector bulk ops.
+ * Kernel layer for the bit-plane hot loops of the RIME scan path:
+ * column search, fused commit+popcount, select-latch load, range
+ * fills, and the BitVector bulk ops.
  *
  * Dispatch model: a process-wide table of function pointers
  * (KernelTable) selects between the portable scalar kernels and an
@@ -19,13 +19,13 @@
  * only be called while no scan is in flight (single-threaded setup
  * code); the hot paths read the table without synchronization.
  *
- * The scalar word loops that predate this layer survive verbatim
- * inside BitVector/RramArray as the reference path: callers branch on
- * simdEnabled() and only enter the kernel table when a SIMD variant
- * is active, so RIME_SIMD=0 executes exactly the pre-SIMD code.  The
- * scalar kernels in this table exist for completeness (and for unit
- * tests that exercise the table itself); they are line-for-line the
- * same loops.
+ * The table is the only implementation of the bit-plane word loops:
+ * BitVector and RramArray call kernels::active() unconditionally.
+ * The scalar table is the one reference -- the semantics every ISA
+ * variant must reproduce bit for bit, and what the equivalence tests
+ * compare the SIMD tables against.  Only RimeChip::runScanSteps
+ * reads simdEnabled(), once per scan, to choose between the
+ * recorded-match and the fused (signals-only) scan.
  *
  * Alignment contract: BitVector and RramArray allocate their word
  * storage 64-byte aligned (WordVector below) so every kernel operand
@@ -117,7 +117,7 @@ struct KernelTable
                                   unsigned nwords, bool search_bit);
     /**
      * Wired-OR signals of a column search without writing the match
-     * vector: the probe phase of the fault-free fast path, where the
+     * vector: the probe phase of the fused scan, where the
      * match is recomputed from the column at commit time instead of
      * stored and re-loaded (see commitSearch).  Removes the match
      * vector from the scan's working set entirely.
@@ -147,12 +147,6 @@ struct KernelTable
     /** dst &= ~mask. */
     void (*andNot)(std::uint64_t *dst, const std::uint64_t *mask,
                    unsigned n);
-    /** dst &= src. */
-    void (*andWords)(std::uint64_t *dst, const std::uint64_t *src,
-                     unsigned n);
-    /** dst |= src. */
-    void (*orWords)(std::uint64_t *dst, const std::uint64_t *src,
-                    unsigned n);
     /** Total set bits of src[0..n). */
     unsigned (*popcount)(const std::uint64_t *src, unsigned n);
     /** dst[0..n) = value (range set/clear body). */
@@ -169,7 +163,7 @@ namespace detail
 /** Active table; constant-initialized to scalar, retargeted by the
  *  RIME_SIMD static initializer or setMode(). */
 extern const KernelTable *activeTable;
-/** True when activeTable is a SIMD variant (hot-path branch). */
+/** True when activeTable is a SIMD variant. */
 extern bool simdActive;
 } // namespace detail
 
@@ -181,9 +175,8 @@ active()
 }
 
 /**
- * True when a SIMD table is dispatched: the BitVector/RramArray hot
- * paths enter the kernel layer only then, otherwise they run their
- * original scalar loops.
+ * True when a SIMD table is dispatched.  RimeChip::runScanSteps
+ * runs the fused scan only then.
  */
 inline bool
 simdEnabled()

@@ -238,28 +238,6 @@ avx2AndNot(std::uint64_t *dst, const std::uint64_t *mask, unsigned n)
         dst[i] &= ~mask[i];
 }
 
-void
-avx2AndWords(std::uint64_t *dst, const std::uint64_t *src, unsigned n)
-{
-    unsigned i = 0;
-    for (; i + 4 <= n; i += 4)
-        storeu(dst + i,
-               _mm256_and_si256(loadu(dst + i), loadu(src + i)));
-    for (; i < n; ++i)
-        dst[i] &= src[i];
-}
-
-void
-avx2OrWords(std::uint64_t *dst, const std::uint64_t *src, unsigned n)
-{
-    unsigned i = 0;
-    for (; i + 4 <= n; i += 4)
-        storeu(dst + i,
-               _mm256_or_si256(loadu(dst + i), loadu(src + i)));
-    for (; i < n; ++i)
-        dst[i] |= src[i];
-}
-
 unsigned
 avx2Popcount(const std::uint64_t *src, unsigned n)
 {
@@ -292,8 +270,6 @@ constexpr KernelTable kAvx2Table = {
     avx2AndNotCount,
     avx2AssignAndNotCount,
     avx2AndNot,
-    avx2AndWords,
-    avx2OrWords,
     avx2Popcount,
     avx2Fill,
     "avx2",

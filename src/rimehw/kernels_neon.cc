@@ -196,26 +196,6 @@ neonAndNot(std::uint64_t *dst, const std::uint64_t *mask, unsigned n)
         dst[i] &= ~mask[i];
 }
 
-void
-neonAndWords(std::uint64_t *dst, const std::uint64_t *src, unsigned n)
-{
-    unsigned i = 0;
-    for (; i + 2 <= n; i += 2)
-        storew(dst + i, vandq_u64(loadw(dst + i), loadw(src + i)));
-    for (; i < n; ++i)
-        dst[i] &= src[i];
-}
-
-void
-neonOrWords(std::uint64_t *dst, const std::uint64_t *src, unsigned n)
-{
-    unsigned i = 0;
-    for (; i + 2 <= n; i += 2)
-        storew(dst + i, vorrq_u64(loadw(dst + i), loadw(src + i)));
-    for (; i < n; ++i)
-        dst[i] |= src[i];
-}
-
 unsigned
 neonPopcount(const std::uint64_t *src, unsigned n)
 {
@@ -246,8 +226,6 @@ constexpr KernelTable kNeonTable = {
     neonAndNotCount,
     neonAssignAndNotCount,
     neonAndNot,
-    neonAndWords,
-    neonOrWords,
     neonPopcount,
     neonFill,
     "neon",

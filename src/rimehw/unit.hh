@@ -283,88 +283,60 @@ class ArrayUnit
     }
 
     /**
-     * One bitwise column search step.  Records the match vector for a
-     * subsequent commit() and reports the two per-mat signals the chip
-     * controller consumes (section IV-B2).
+     * One bitwise column search step: the two per-mat signals the
+     * chip controller consumes (section IV-B2).
      *
      * @param step_from_msb 0 scans the MSB column
      * @param search_bit    the reference bit; matching rows are the
      *                      exclusion candidates
+     * @param record        record the match vector (columnSearchInto,
+     *                      read-disturb aware) for the commit; false
+     *                      takes the signals-only probe, whose commit
+     *                      recomputes the match from the stored
+     *                      column.  Chosen once per scan by
+     *                      RimeChip::runScanSteps; a step's probe and
+     *                      commit must pass the same value.
      */
-    ColumnSearchSignals
-    probe(unsigned step_from_msb, bool search_bit)
+    kernels::SearchSignals
+    probe(unsigned step_from_msb, bool search_bit, bool record)
     {
         // A unit whose select latches are all zero contributes
         // nothing to the wired-OR signals; its selectlines stay
-        // quiet, so the sense pass is skipped.  (select_ is all
-        // zero, so a stale lastMatch_ cannot resurrect rows.)
+        // quiet, so the sense pass is skipped.  (Its commit is
+        // skipped too, so a stale lastMatch_ is never read.)
         if (survivors_ == 0)
             return {};
         const unsigned col = slot_ * k_ + step_from_msb;
-        ColumnSearchSignals sig;
-        if (array_->probeSignals(col, search_bit, select_, sig)) {
-            // Fast path: the match vector is not materialized; a
-            // committing step recomputes it from the stored column
-            // (bit-identical -- see kernels.hh commitSearch).
-            lastProbeCol_ = col;
-            lastProbeBit_ = search_bit;
-            lastProbeFused_ = true;
-            return sig;
-        }
-        lastProbeFused_ = false;
+        if (!record)
+            return array_->searchSignals(col, search_bit, select_);
         return array_->columnSearchInto(col, search_bit, select_,
                                         lastMatch_);
     }
 
     /**
-     * Apply the controller's global exclusion decision: when asserted,
-     * the match vector is loaded into the select latches (turning 1s
-     * into 0s for the matched rows).  Keeps the survivors_ cache
-     * current so survivorCount() stays O(1) on either commit path.
-     */
-    void
-    commit(bool global_exclude)
-    {
-        if (global_exclude && survivors_ != 0)
-            applyCommit();
-    }
-
-    /**
-     * Fused commit + survivor count: apply the global decision and
-     * report the rows still selected in a single word pass.
+     * Apply the controller's exclusion decision for the step probed
+     * with the same arguments -- the matched rows leave the select
+     * latches -- and report the rows still selected, in one word
+     * pass.  Without `record` the match is recomputed from the stored
+     * column (bit-identical; see kernels.hh commitSearch), so the
+     * step's probe may have been skipped.
      */
     unsigned
-    commitAndCount(bool global_exclude)
+    commitAndCount(unsigned step_from_msb, bool search_bit, bool record)
     {
-        if (global_exclude && survivors_ != 0)
-            applyCommit();
-        return survivors_;
-    }
-
-    /**
-     * Fused commit for the chip's SIMD scan loop: recompute the match
-     * vector from the stored column and apply it, independent of any
-     * per-unit probe state.  Only valid when the controller
-     * established that this step's probes all took (or could have
-     * taken) the signals-only path -- SIMD dispatched and no fault
-     * model -- which also lets the probe loop early-exit once the
-     * wired-OR signals saturate without leaving stale state behind.
-     * Bit-identical to commitAndCount(true) after a recorded probe.
-     */
-    unsigned
-    commitFusedAndCount(unsigned step_from_msb, bool search_bit)
-    {
-        if (survivors_ != 0) {
-            survivors_ = array_->commitSearch(
-                slot_ * k_ + step_from_msb, search_bit, select_);
-        }
+        if (survivors_ == 0)
+            return 0;
+        survivors_ = record
+            ? select_.andNotCount(lastMatch_)
+            : array_->commitSearch(slot_ * k_ + step_from_msb,
+                                   search_bit, select_);
         return survivors_;
     }
 
     /**
      * Rows still selected.  Served from the survivors_ cache the
-     * extraction path already maintains (beginExtraction, commit,
-     * commitAndCount all mutate select_ through counting ops), so
+     * extraction path already maintains (beginExtraction and
+     * commitAndCount mutate select_ through counting ops), so
      * callers don't pay an O(words) popcount pass per query.
      */
     unsigned
@@ -392,16 +364,6 @@ class ArrayUnit
     const BitVector &select() const { return select_; }
 
   private:
-    /** The commit body shared by commit() and commitAndCount(). */
-    void
-    applyCommit()
-    {
-        survivors_ = lastProbeFused_
-            ? array_->commitSearch(lastProbeCol_, lastProbeBit_,
-                                   select_)
-            : select_.andNotCount(lastMatch_);
-    }
-
     RramArray *array_;
     unsigned slot_;
     unsigned k_;
@@ -412,6 +374,7 @@ class ArrayUnit
     BitVector range_;
     BitVector excluded_;
     BitVector select_;
+    /** Match vector of the last recorded probe (record = true). */
     BitVector lastMatch_;
     /** Physical rows that failed write-verify (never selectable). */
     BitVector badRows_;
@@ -425,22 +388,11 @@ class ArrayUnit
     bool faulty_ = false;
     /**
      * Select-latch population cache: every mutation of select_ flows
-     * through a fused counting op (beginExtraction, commit,
-     * commitAndCount), so this is always popcount(select_).  Lets
-     * drained units short-circuit their probes and survivorCount()
-     * answer in O(1).
+     * through a fused counting op (beginExtraction, commitAndCount),
+     * so this is always popcount(select_).  Lets drained units
+     * short-circuit their probes and survivorCount() answer in O(1).
      */
     unsigned survivors_ = 0;
-    /**
-     * Column and polarity of the last probe, and whether it took the
-     * signals-only fast path (match vector not materialized).  A
-     * committing step then recomputes the match from the stored
-     * column (applyCommit); the fault path records lastMatch_ and
-     * clears the flag.
-     */
-    unsigned lastProbeCol_ = 0;
-    bool lastProbeBit_ = false;
-    bool lastProbeFused_ = false;
 };
 
 } // namespace rime::rimehw

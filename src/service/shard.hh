@@ -348,12 +348,6 @@ class ShardController
         rejectedQuota_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    void
-    countDrainingReject()
-    {
-        rejectedDraining_.fetch_add(1, std::memory_order_relaxed);
-    }
-
     /**
      * Merge this shard's whole stat tree into `out`: the scheduler
      * group at `base` (with the shed counters as "*Host" values), the

@@ -301,8 +301,8 @@ TEST(BitVectorRanges, WordParallelSetAndClearMatchBitLoops)
         EXPECT_TRUE(fast == slow) << begin << ".." << end;
 
         BitVector cfast(200), cslow(200);
-        cfast.setAll();
-        cslow.setAll();
+        cfast.setRange(0, 200);
+        cslow.setRange(0, 200);
         cfast.clearRange(begin, end);
         for (unsigned i = begin; i < end; ++i)
             cslow.set(i, false);

@@ -37,28 +37,11 @@ TEST(BitVector, RangeAndLogicOps)
     b.setRange(15, 25);
     EXPECT_EQ(a.count(), 10u);
 
-    BitVector and_v = a;
-    and_v &= b;
-    EXPECT_EQ(and_v.count(), 5u);
-    EXPECT_TRUE(and_v.test(15));
-    EXPECT_FALSE(and_v.test(10));
-
-    BitVector or_v = a;
-    or_v |= b;
-    EXPECT_EQ(or_v.count(), 15u);
-
     BitVector diff = a;
     diff.andNot(b);
     EXPECT_EQ(diff.count(), 5u);
     EXPECT_TRUE(diff.test(10));
     EXPECT_FALSE(diff.test(15));
-}
-
-TEST(BitVector, SetAllRespectsSize)
-{
-    BitVector v(70);
-    v.setAll();
-    EXPECT_EQ(v.count(), 70u);
 }
 
 TEST(RramArray, WriteReadRoundTrip)
@@ -81,23 +64,24 @@ TEST(RramArray, ColumnSearchMatchesStoredBits)
 
     BitVector select(8);
     select.setRange(0, 8);
-    const auto r1 = array.columnSearch(3, true, select);
+    BitVector match(8);
+    const auto r1 = array.columnSearchInto(3, true, select, match);
     EXPECT_TRUE(r1.anyMatch);
     EXPECT_TRUE(r1.anyMismatch);
-    EXPECT_EQ(r1.match.count(), 4u);
-    EXPECT_TRUE(r1.match.test(0));
-    EXPECT_FALSE(r1.match.test(1));
+    EXPECT_EQ(match.count(), 4u);
+    EXPECT_TRUE(match.test(0));
+    EXPECT_FALSE(match.test(1));
 
     // Restrict the selection to odd rows: searching for 1 matches
     // nothing.
     BitVector odd(8);
     for (unsigned row = 1; row < 8; row += 2)
         odd.set(row);
-    const auto r2 = array.columnSearch(3, true, odd);
+    const auto r2 = array.columnSearchInto(3, true, odd, match);
     EXPECT_FALSE(r2.anyMatch);
     EXPECT_TRUE(r2.anyMismatch);
 
-    const auto r3 = array.columnSearch(3, false, odd);
+    const auto r3 = array.columnSearchInto(3, false, odd, match);
     EXPECT_TRUE(r3.anyMatch);
     EXPECT_FALSE(r3.anyMismatch);
 }
@@ -148,15 +132,26 @@ TEST(ArrayUnit, ProbeAndCommit)
 
     // Bit 3 (step 4 from the MSB of an 8-bit word): values 8..11 have
     // it set.
-    const auto probe = unit.probe(4, true);
+    const auto probe = unit.probe(4, true, /*record=*/true);
     EXPECT_TRUE(probe.anyMatch);
     EXPECT_TRUE(probe.anyMismatch);
-    unit.commit(true);
+    EXPECT_EQ(unit.commitAndCount(4, true, /*record=*/true), 4u);
     EXPECT_EQ(unit.survivorCount(), 4u); // 4..7 remain
     EXPECT_EQ(unit.firstSurvivor(), 0u);
 
     // Without a commit the selection is unchanged.
-    unit.probe(5, true);
-    unit.commit(false);
+    unit.probe(5, true, /*record=*/true);
     EXPECT_EQ(unit.survivorCount(), 4u);
+
+    // The signals-only probe and its recomputing commit: bit 2 (step
+    // 5) is set in 4..7 too, so every survivor matches and nothing
+    // may be excluded; bit 1 (step 6) splits them into 4,5 | 6,7.
+    const auto fused = unit.probe(5, true, /*record=*/false);
+    EXPECT_TRUE(fused.anyMatch);
+    EXPECT_FALSE(fused.anyMismatch);
+    const auto split = unit.probe(6, true, /*record=*/false);
+    EXPECT_TRUE(split.anyMatch);
+    EXPECT_TRUE(split.anyMismatch);
+    EXPECT_EQ(unit.commitAndCount(6, true, /*record=*/false), 2u);
+    EXPECT_EQ(unit.firstSurvivor(), 0u); // 4, 5 remain
 }

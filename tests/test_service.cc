@@ -430,10 +430,15 @@ namespace
 
 /**
  * Seeded closed-loop soak under the lockstep scheduler: 4 sessions
- * (two tenants, different weights) over 2 bit-level shards, driven by
- * `client_groups` client threads.  Returns the deterministic stat
- * dump plus a digest of every extracted value (in session-id order),
- * so callers compare both state and client-visible results.
+ * (two tenants, all at the default weight 1) over 2 bit-level shards,
+ * driven by `client_groups` client threads.  The weight must stay 1:
+ * a lockstep round waits for `weight` requests of each session, while
+ * the setup waves and the extraction steps keep one request in flight
+ * per session, so with weight > 1 the round would block on a client
+ * that is itself waiting on a later session's future.  Returns the
+ * deterministic stat dump plus a digest of every extracted value (in
+ * session-id order), so callers compare both state and
+ * client-visible results.
  * `batch_ops` != 0 overrides the group-commit batch size.
  */
 std::string
