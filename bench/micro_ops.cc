@@ -4,7 +4,8 @@
  * column search, chip-level scans, the fast model, key codecs, the
  * driver allocator, the DRAM bank machine, the cache hierarchy, and
  * the three host layers of a 16 Ki-value StoreArray (wire encode,
- * wire decode, FastRime bulk load).
+ * wire decode, FastRime bulk load), and the CRC-32 under every wire
+ * frame and journal record (dispatched kernel and table reference).
  * These measure *simulator* (host) performance, useful for keeping
  * the models fast enough for paper-scale sweeps.
  *
@@ -25,9 +26,11 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <vector>
 
 #include "bench/bench_util.hh"
 #include "cachesim/hierarchy.hh"
+#include "common/bitio.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -266,6 +269,43 @@ BM_FastModelStoreArray(benchmark::State &state)
 }
 BENCHMARK(BM_FastModelStoreArray);
 
+/** `n` seeded random bytes: the CRC-32 benchmarks' input. */
+std::vector<std::uint8_t>
+crcInput(std::int64_t n)
+{
+    std::vector<std::uint8_t> buf(static_cast<std::size_t>(n));
+    Rng rng(9);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng());
+    return buf;
+}
+
+/** CRC-32 of `state.range(0)` bytes on the dispatched kernel. */
+void
+BM_Crc32(benchmark::State &state)
+{
+    const auto buf = crcInput(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+    state.SetLabel(rime::detail::crc32KernelName());
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(128 * 1024);
+
+/** The same spans on the slice-by-8 table alone. */
+void
+BM_Crc32Table(benchmark::State &state)
+{
+    const auto buf = crcInput(state.range(0));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            rime::detail::crc32Table(buf.data(), buf.size()));
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+    state.SetLabel("table");
+}
+BENCHMARK(BM_Crc32Table)->Arg(64)->Arg(4096)->Arg(128 * 1024);
+
 /**
  * Wall-clock self-timing of the bit-level scan -- scalar vs SIMD
  * kernels, then serial vs a forced parallel width vs the default
@@ -321,29 +361,34 @@ runScanSelfTiming()
         kernels::Mode mode;
         unsigned width; ///< hostThreads; 0 = the default width
         double ms = std::numeric_limits<double>::infinity();
+        std::vector<double> roundMs{}; ///< each round's fastest scan
         ExtractResult r;
     };
     const kernels::Mode env_mode = kernels::envMode();
     Variant scalar{kernels::Mode::Scalar, 1}, simd{kernels::Mode::Simd, 1},
         parallel{env_mode, parallel_threads}, automatic{env_mode, 0};
     // Rounds interleave the variants, and each variant reports its
-    // fastest scan: host interference (preemption, a busy neighbour
-    // on a shared machine) then cannot flip an A/B, while a cost every
-    // scan pays -- such as a needless pool fork-join per step -- still
-    // shows.  scan() is pure, so repeated scans perform identical
-    // work; one untimed warm-up scan per variant and round populates
-    // lazily allocated state and re-primes the caches.
+    // fastest scan (per round, and over all rounds): host interference
+    // (preemption, a busy neighbour on a shared machine) then cannot
+    // flip an A/B, while a cost every scan pays -- such as a needless
+    // pool fork-join per step -- still shows.  scan() is pure, so
+    // repeated scans perform identical work; one untimed warm-up scan
+    // per variant and round populates lazily allocated state and
+    // re-primes the caches.
     for (int round = 0; round < rounds; ++round) {
         for (Variant *v : {&scalar, &simd, &automatic, &parallel}) {
             kernels::setMode(v->mode);
             chip.setHostThreads(v->width);
             v->r = chip.scan(0, keys, false);
+            double best = std::numeric_limits<double>::infinity();
             for (int i = 0; i < scans; ++i) {
                 const auto t0 = Clock::now();
                 v->r = chip.scan(0, keys, false);
-                v->ms = std::min(v->ms, std::chrono::duration<double,
+                best = std::min(best, std::chrono::duration<double,
                     std::milli>(Clock::now() - t0).count());
             }
+            v->roundMs.push_back(best);
+            v->ms = std::min(v->ms, best);
         }
     }
     chip.setHostThreads(0);
@@ -358,16 +403,29 @@ runScanSelfTiming()
 
     const double serial_ms = kernels::simdEnabled() ? simd.ms : scalar.ms;
     const double simulated_ns = ticksToNs(scalar.r.time);
-    const double simd_speedup =
-        simd.ms > 0.0 ? scalar.ms / simd.ms : 0.0;
+    // The SIMD speedup is the median of per-round ratios, each round's
+    // fastest scalar scan over its fastest SIMD scan: the two scans of
+    // a ratio run back to back, so interference that lasts a whole
+    // round or longer slows both sides, and a few disturbed rounds
+    // move the median less than they move two global minima.
+    std::vector<double> ratios;
+    for (int i = 0; i < rounds; ++i) {
+        ratios.push_back(simd.roundMs[i] > 0.0
+            ? scalar.roundMs[i] / simd.roundMs[i] : 0.0);
+    }
+    const double simd_speedup = bench::percentile(ratios, 0.5);
+    const double simd_speedup_iqr = bench::percentile(ratios, 0.75) -
+        bench::percentile(ratios, 0.25);
 
     std::printf("scan self-timing: %llu keys, k=%u: host %.3f ms "
-                "scalar vs %.3f ms %s (%.2fx); %.3f ms serial vs "
+                "scalar vs %.3f ms %s (%.2fx median, IQR %.2f); "
+                "%.3f ms serial vs "
                 "%.3f ms at %u threads (%.2fx); %.3f ms at the "
                 "default width (%u shards); simulated %.1f "
                 "ns/scan\n",
                 static_cast<unsigned long long>(keys), k, scalar.ms,
                 simd.ms, kernels::availableIsaName(), simd_speedup,
+                simd_speedup_iqr,
                 serial_ms, parallel.ms, parallel_threads,
                 serial_ms / parallel.ms, automatic.ms, auto_shards,
                 simulated_ns);
@@ -383,6 +441,7 @@ runScanSelfTiming()
         .field("simd_host_ms_per_scan", simd.ms)
         .field("simd_isa", kernels::availableIsaName())
         .field("simd_speedup", simd_speedup)
+        .field("simd_speedup_iqr", simd_speedup_iqr)
         .field("serial_host_ms_per_scan", serial_ms)
         .field("parallel_host_ms_per_scan", parallel.ms)
         .field("parallel_threads", parallel_threads)

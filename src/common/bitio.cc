@@ -7,6 +7,13 @@
 namespace rime
 {
 
+namespace detail
+{
+// Defined in crc32_clmul.cc; returns nullptr when the kernel was not
+// compiled in.
+Crc32Fold crc32ClmulFold();
+} // namespace detail
+
 namespace
 {
 
@@ -31,13 +38,11 @@ makeCrcTables()
     return t;
 }
 
-} // namespace
-
+/** Advance the CRC register `c` over `size` bytes, 8 per step. */
 std::uint32_t
-crc32(const std::uint8_t *data, std::size_t size)
+tableUpdate(std::uint32_t c, const std::uint8_t *data, std::size_t size)
 {
     static const CrcTables t = makeCrcTables();
-    std::uint32_t c = 0xFFFFFFFFu;
     while (size >= 8) {
         const std::uint32_t lo = c ^
             (static_cast<std::uint32_t>(data[0]) |
@@ -58,7 +63,60 @@ crc32(const std::uint8_t *data, std::size_t size)
     }
     for (std::size_t i = 0; i < size; ++i)
         c = t[0][(c ^ data[i]) & 0xFF] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
+    return c;
+}
+
+/** The fold crc32() uses on this host, or nullptr for the table. */
+detail::Crc32Fold
+activeFold()
+{
+    static const detail::Crc32Fold fold = []() -> detail::Crc32Fold {
+#if defined(__x86_64__) || defined(__i386__)
+        if (const detail::Crc32Fold f = detail::crc32ClmulFold()) {
+            if (__builtin_cpu_supports("pclmul") &&
+                __builtin_cpu_supports("sse4.1"))
+                return f;
+        }
+#endif
+        return nullptr;
+    }();
+    return fold;
+}
+
+} // namespace
+
+namespace detail
+{
+
+std::uint32_t
+crc32Table(const std::uint8_t *data, std::size_t size)
+{
+    return tableUpdate(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
+}
+
+const char *
+crc32KernelName()
+{
+    return activeFold() ? "pclmul" : "table";
+}
+
+} // namespace detail
+
+std::uint32_t
+crc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    // The fold takes whole 16-byte blocks, at least four of them; the
+    // tail below 16 bytes (and any input below 64) stays on the table.
+    if (size >= 64) {
+        if (const detail::Crc32Fold fold = activeFold()) {
+            const std::size_t blocks = size & ~static_cast<std::size_t>(15);
+            c = fold(c, data, blocks);
+            data += blocks;
+            size -= blocks;
+        }
+    }
+    return tableUpdate(c, data, size) ^ 0xFFFFFFFFu;
 }
 
 // ----------------------------------------------------------------------

@@ -22,7 +22,10 @@
  * both prefix words little-endian.  readFrame() validates the length
  * against the remaining input and the checksum against the payload,
  * so a torn tail (the crash happened mid-append) or a flipped bit is
- * detected and reported instead of being replayed.
+ * detected and reported instead of being replayed.  The checksum is
+ * the table-driven CRC-32, folded with carry-less multiplies where
+ * the host has them (crc32_clmul.cc); the bytes a frame carries are
+ * the same either way.
  */
 
 #ifndef RIME_COMMON_BITIO_HH
@@ -36,8 +39,29 @@
 namespace rime
 {
 
-/** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a byte span. */
+/**
+ * CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a byte span.  On an
+ * x86 host with PCLMULQDQ and SSE4.1 (probed once by CPUID) the whole
+ * 16-byte blocks of an input of 64 bytes or more are folded with
+ * carry-less multiplies; everything else runs the slice-by-8 table.
+ * Both paths return the same value for every input.
+ */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
+
+namespace detail
+{
+
+/** Advances a CRC register over a span (crc32_clmul.cc's kernel). */
+using Crc32Fold = std::uint32_t (*)(std::uint32_t, const std::uint8_t *,
+                                    std::size_t);
+
+/** crc32() on the slice-by-8 table alone: the reference path. */
+std::uint32_t crc32Table(const std::uint8_t *data, std::size_t size);
+
+/** The path crc32() dispatched to on this host: "pclmul" or "table". */
+const char *crc32KernelName();
+
+} // namespace detail
 
 /** Append bit-packed fields to a byte buffer, LSB-first. */
 class BitWriter

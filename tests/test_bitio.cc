@@ -338,6 +338,61 @@ TEST(BitIo, Crc32KnownVector)
     EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
+namespace
+{
+
+/** `n` seeded random bytes in an allocation of exactly `n` bytes. */
+std::vector<std::uint8_t>
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::uint8_t> buf(n);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng());
+    return buf;
+}
+
+/**
+ * crc32() against the table reference on `buf`: every length
+ * 0..1100 at every start offset 0..15, each slice both from the
+ * front of the buffer and ending at its last byte (so an over-read
+ * past a slice end leaves the allocation), then the whole buffer
+ * minus each offset.
+ */
+void
+expectFoldMatchesTable(const std::vector<std::uint8_t> &buf)
+{
+    const std::uint8_t *end = buf.data() + buf.size();
+    for (std::size_t off = 0; off < 16; ++off) {
+        for (std::size_t len = 0; len <= 1100; ++len) {
+            const std::uint8_t *front = buf.data() + off;
+            ASSERT_EQ(crc32(front, len), detail::crc32Table(front, len))
+                << "front slice, offset " << off << ", length " << len;
+            const std::uint8_t *back = end - len - off;
+            ASSERT_EQ(crc32(back, len + off),
+                      detail::crc32Table(back, len + off))
+                << "tail slice of " << len + off << " bytes";
+        }
+        const std::size_t whole = buf.size() - off;
+        ASSERT_EQ(crc32(buf.data() + off, whole),
+                  detail::crc32Table(buf.data() + off, whole))
+            << "whole buffer from offset " << off;
+    }
+}
+
+} // namespace
+
+TEST(BitIo, Crc32FoldMatchesTableAtEveryLengthAndOffset)
+{
+    // On a host without PCLMULQDQ both sides run the table and the
+    // comparison is trivially equal; the kernel name says which ran.
+    RecordProperty("crc32_kernel", detail::crc32KernelName());
+    // 131132 bytes: one wire_store StoreArray frame payload plus its
+    // header slack, not a multiple of 16 or 64.
+    expectFoldMatchesTable(randomBytes(131132, 11));
+    expectFoldMatchesTable(randomBytes(1 << 20, 12));
+}
+
 TEST(BitIo, FrameRoundTrip)
 {
     std::vector<std::uint8_t> stream;
@@ -392,18 +447,36 @@ TEST(BitIo, TornTailIsTruncatedAtEveryCut)
 
 TEST(BitIo, FlippedBitIsCorrupt)
 {
-    std::vector<std::uint8_t> stream;
-    appendFrame(stream, {10, 20, 30, 40, 50});
-    // Flip one bit in the payload (past the 8-byte prefix).
-    for (std::size_t byte = 8; byte < stream.size(); ++byte) {
-        auto bad = stream;
-        bad[byte] ^= 0x10;
-        std::size_t off = 0;
-        std::vector<std::uint8_t> p;
-        EXPECT_EQ(readFrame(bad.data(), bad.size(), off, p),
-                  FrameStatus::Corrupt)
-            << "flip at " << byte;
-        EXPECT_EQ(off, 0u);
+    // Flip every bit of a frame, one at a time: a 5-byte payload (its
+    // CRC runs on the table) and a 1 KiB one (folded where the host
+    // has PCLMULQDQ).  CRC-32 detects every single-bit error, so a
+    // flip in the CRC word or the payload is Corrupt.  A flip in the
+    // length word may instead claim more bytes than the stream holds,
+    // which is a torn tail: Truncated.
+    for (const auto &payload :
+         {std::vector<std::uint8_t>{10, 20, 30, 40, 50},
+          randomBytes(1024, 13)}) {
+        std::vector<std::uint8_t> stream;
+        appendFrame(stream, payload);
+        for (std::size_t bit = 0; bit < stream.size() * 8; ++bit) {
+            auto bad = stream;
+            bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            std::size_t off = 0;
+            std::vector<std::uint8_t> p;
+            const FrameStatus st =
+                readFrame(bad.data(), bad.size(), off, p);
+            if (bit < 32) {
+                ASSERT_TRUE(st == FrameStatus::Corrupt ||
+                            st == FrameStatus::Truncated)
+                    << "length flip at bit " << bit << ": "
+                    << frameStatusName(st);
+            } else {
+                ASSERT_EQ(st, FrameStatus::Corrupt)
+                    << payload.size() << "-byte payload, flip at bit "
+                    << bit;
+            }
+            ASSERT_EQ(off, 0u);
+        }
     }
 }
 

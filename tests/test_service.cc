@@ -430,12 +430,16 @@ namespace
 
 /**
  * Seeded closed-loop soak under the lockstep scheduler: 4 sessions
- * (two tenants, all at the default weight 1) over 2 bit-level shards,
- * driven by `client_groups` client threads.  The weight must stay 1:
- * a lockstep round waits for `weight` requests of each session, while
- * the setup waves and the extraction steps keep one request in flight
- * per session, so with weight > 1 the round would block on a client
- * that is itself waiting on a later session's future.  Returns the
+ * (two tenants) over 2 bit-level shards, driven by `client_groups`
+ * client threads.  Session i opens with weight `weights[i]` (default
+ * 1) and keeps exactly that many requests in flight: a lockstep round
+ * waits for `weight` requests of each session, so a session with
+ * fewer in flight would block the round on a client that is itself
+ * waiting on a later session's future.  Each setup wave therefore
+ * pads a session's one Malloc or Init with weight - 1 Health probes
+ * and splits its StoreArray into `weight` chunks, and each extraction
+ * step submits `weight` same-range Min requests, which the round
+ * serves as one coalesced batch capped at the weight.  Returns the
  * deterministic stat dump plus a digest of every extracted value (in
  * session-id order), so callers compare both state and
  * client-visible results.
@@ -443,7 +447,8 @@ namespace
  */
 std::string
 lockstepSoakDump(unsigned host_threads, unsigned client_groups,
-                 std::size_t batch_ops = 0)
+                 std::size_t batch_ops = 0,
+                 std::vector<unsigned> weights = {1, 1, 1, 1})
 {
     ServiceConfig cfg;
     cfg.shards = 2;
@@ -458,10 +463,12 @@ lockstepSoakDump(unsigned host_threads, unsigned client_groups,
     constexpr unsigned kSessions = 4;
     constexpr std::size_t kKeys = 96;
     constexpr std::size_t kExtracts = 24;
+    EXPECT_EQ(weights.size(), kSessions);
     std::vector<std::shared_ptr<Session>> sessions;
     for (unsigned i = 0; i < kSessions; ++i) {
         sessions.push_back(svc.openSession({
             .tenant = i < 2 ? "alpha" : "beta",
+            .weight = weights[i],
             .maxInFlight = 8,
             .shard = static_cast<int>(i % 2),
         }));
@@ -473,35 +480,57 @@ lockstepSoakDump(unsigned host_threads, unsigned client_groups,
     // all sessions (submit-all, then wait-all).
     const std::uint64_t bytes = kKeys * sizeof(std::uint32_t);
     std::vector<std::pair<Addr, Addr>> ranges(kSessions);
+    const auto padded = [&](unsigned i, std::future<Response> op,
+                            std::vector<std::future<Response>> &wave) {
+        wave.push_back(std::move(op));
+        for (unsigned p = 1; p < weights[i]; ++p)
+            wave.push_back(sessions[i]->health());
+    };
+    const auto waitAll = [](std::vector<std::future<Response>> &wave) {
+        for (auto &f : wave)
+            EXPECT_TRUE(f.get().ok());
+        wave.clear();
+    };
     {
         std::vector<std::future<Response>> wave;
-        for (auto &s : sessions)
-            wave.push_back(s->malloc(bytes));
+        for (unsigned i = 0; i < kSessions; ++i)
+            padded(i, sessions[i]->malloc(bytes), wave);
+        // Each session's Malloc leads its weight - 1 Health probes.
+        std::size_t k = 0;
         for (unsigned i = 0; i < kSessions; ++i) {
-            const Response m = wave[i].get();
+            const Response m = wave[k++].get();
             EXPECT_TRUE(m.ok());
             ranges[i] = {m.addr, m.addr + bytes};
+            for (unsigned p = 1; p < weights[i]; ++p)
+                EXPECT_TRUE(wave[k++].get().ok());
         }
         wave.clear();
         for (unsigned i = 0; i < kSessions; ++i) {
-            wave.push_back(sessions[i]->storeArray(
-                ranges[i].first, sessionKeys(i, kKeys)));
+            const auto keys = sessionKeys(i, kKeys);
+            const std::size_t chunk = kKeys / weights[i];
+            for (unsigned c = 0; c < weights[i]; ++c) {
+                const std::size_t lo = c * chunk;
+                const std::size_t hi =
+                    c + 1 == weights[i] ? kKeys : lo + chunk;
+                wave.push_back(sessions[i]->storeArray(
+                    ranges[i].first + lo * sizeof(std::uint32_t),
+                    std::vector<std::uint64_t>(keys.begin() + lo,
+                                               keys.begin() + hi)));
+            }
         }
-        for (auto &f : wave)
-            EXPECT_TRUE(f.get().ok());
-        wave.clear();
+        waitAll(wave);
         for (unsigned i = 0; i < kSessions; ++i) {
-            wave.push_back(sessions[i]->init(
-                ranges[i].first, ranges[i].second,
-                KeyMode::UnsignedFixed));
+            padded(i,
+                   sessions[i]->init(ranges[i].first, ranges[i].second,
+                                     KeyMode::UnsignedFixed),
+                   wave);
         }
-        for (auto &f : wave)
-            EXPECT_TRUE(f.get().ok());
+        waitAll(wave);
     }
 
     // Extraction phase: client threads each drive a disjoint group of
-    // sessions, keeping every session exactly one request in flight
-    // (submit-all, then wait-all, per step).
+    // sessions, keeping every session exactly `weight` requests in
+    // flight (submit-all, then wait-all, per step).
     std::vector<std::thread> clients;
     std::vector<std::vector<std::uint64_t>> extracted(kSessions);
     for (unsigned g = 0; g < client_groups; ++g) {
@@ -511,9 +540,13 @@ lockstepSoakDump(unsigned host_threads, unsigned client_groups,
                 mine.push_back(i);
             for (std::size_t step = 0; step < kExtracts; ++step) {
                 std::vector<std::future<Response>> futs;
+                std::vector<unsigned> owner;
                 for (const unsigned i : mine) {
-                    futs.push_back(sessions[i]->min(ranges[i].first,
-                                                    ranges[i].second));
+                    for (unsigned w = 0; w < weights[i]; ++w) {
+                        futs.push_back(sessions[i]->min(
+                            ranges[i].first, ranges[i].second));
+                        owner.push_back(i);
+                    }
                 }
                 for (std::size_t k = 0; k < futs.size(); ++k) {
                     const Response r = futs[k].get();
@@ -521,13 +554,22 @@ lockstepSoakDump(unsigned host_threads, unsigned client_groups,
                     ASSERT_EQ(r.items.size(), 1u);
                     // Each thread owns a disjoint session group, so
                     // these rows never race.
-                    extracted[mine[k]].push_back(r.items[0].raw);
+                    extracted[owner[k]].push_back(r.items[0].raw);
                 }
             }
         });
     }
     for (auto &c : clients)
         c.join();
+
+    // Every session drained its own keys in ascending order, however
+    // many of its requests a round served together.
+    for (unsigned i = 0; i < kSessions; ++i) {
+        auto sorted = sessionKeys(i, kKeys);
+        std::sort(sorted.begin(), sorted.end());
+        sorted.resize(extracted[i].size());
+        EXPECT_EQ(extracted[i], sorted) << "session " << i;
+    }
 
     // Close in session-id order: the lockstep rounds wait for the
     // sessions in that same order.
@@ -572,6 +614,19 @@ TEST(ServiceDeterminism, GroupCommitBatchSizeIsInvisibleInLockstep)
     EXPECT_EQ(lockstepSoakDump(1, 1, 32), base)
         << "batchOps leaked into deterministic state or results";
     EXPECT_EQ(lockstepSoakDump(4, 2, 32), base);
+}
+
+TEST(ServiceDeterminism, WeightedLockstepRoundsAreBitIdentical)
+{
+    // Weights 2 and 3 on both shards: every round serves several
+    // requests of one session, and the coalescing window is capped at
+    // the round budget.  The dump must not depend on host threads,
+    // client threads or the group-commit batch.
+    const std::vector<unsigned> weights = {2, 3, 3, 2};
+    const std::string base = lockstepSoakDump(1, 1, 0, weights);
+    EXPECT_NE(base, lockstepSoakDump(1, 1))
+        << "weights left the served script unchanged";
+    EXPECT_EQ(lockstepSoakDump(4, 2, 1, weights), base);
 }
 
 // ---------------------------------------------------------------------
