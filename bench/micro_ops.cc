@@ -2,9 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the core operations: bit-level
  * column search, chip-level scans, the fast model, key codecs, the
- * driver allocator, the DRAM bank machine, the cache hierarchy, and
- * the three host layers of a 16 Ki-value StoreArray (wire encode,
- * wire decode, FastRime bulk load), and the CRC-32 under every wire
+ * driver allocator, the DRAM bank machine, the cache hierarchy, the
+ * two baseline-path simulators whole (one DRAM bandwidth probe, the
+ * four sort profiles of one Fig. 15 pricing pass), the three host
+ * layers of a 16 Ki-value StoreArray (wire encode, wire decode,
+ * FastRime bulk load), and the CRC-32 under every wire
  * frame and journal record (dispatched kernel and table reference).
  * These measure *simulator* (host) performance, useful for keeping
  * the models fast enough for paper-scale sweeps.
@@ -36,6 +38,7 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/stat_registry.hh"
+#include "memsim/bandwidth_probe.hh"
 #include "memsim/dram_system.hh"
 #include "rime/api.hh"
 #include "rime/driver.hh"
@@ -43,6 +46,7 @@
 #include "rimehw/fast_model.hh"
 #include "rimehw/kernels.hh"
 #include "service/wire.hh"
+#include "sort/parallel_model.hh"
 
 using namespace rime;
 using namespace rime::rimehw;
@@ -174,6 +178,38 @@ BM_CacheHierarchyAccess(benchmark::State &state)
     benchmark::DoNotOptimize(h.memReads());
 }
 BENCHMARK(BM_CacheHierarchyAccess);
+
+/** One raw bandwidth probe as BaselinePerfModel runs it: 200 000
+ *  DDR4 requests, 75% reads, 64 sequential streams. */
+void
+BM_ProbeBandwidth(benchmark::State &state)
+{
+    memsim::DramSystem mem(memsim::DramParams::offChipDdr4());
+    for (auto _ : state) {
+        const auto probe = memsim::probeBandwidth(
+            mem, memsim::AccessPattern::Sequential, 200000, 0.75, 64);
+        benchmark::DoNotOptimize(probe.sustainedGBps);
+    }
+}
+BENCHMARK(BM_ProbeBandwidth)->Unit(benchmark::kMillisecond);
+
+/** The four sort profiles of one perfbench baseline_sim op: 1 Mi
+ *  keys on 64 cores, 4 Ki keys per partition simulated, seed 7. */
+void
+BM_SortModelProfile(benchmark::State &state)
+{
+    sort::SortModel::Config cfg;
+    cfg.sampleCap = 4096;
+    cfg.seed = 7;
+    const sort::SortModel sorts(cfg);
+    for (auto _ : state) {
+        for (const auto algo : sort::allAlgorithms) {
+            const auto p = sorts.profile(algo, 1ULL << 20, 64);
+            benchmark::DoNotOptimize(p.memReads);
+        }
+    }
+}
+BENCHMARK(BM_SortModelProfile)->Unit(benchmark::kMillisecond);
 
 void
 BM_BitLevelExtractParallel(benchmark::State &state)

@@ -3,16 +3,15 @@
  * A fast set-associative cache model with LRU replacement and
  * write-back/write-allocate policy, used to turn the instrumented
  * workload access streams into below-cache memory traffic.  There is
- * one lookup path (compacted sets, move-to-front, MRU way hint); its
- * equivalence oracle, a plain linear-scan LRU model, lives in
- * tests/test_cache.cc.
+ * one lookup path: each set's way order is its recency order, so LRU
+ * needs no timestamps.  Its equivalence oracle, a plain linear-scan
+ * LRU model, lives in tests/test_cache.cc.
  */
 
 #ifndef RIME_CACHESIM_CACHE_HH
 #define RIME_CACHESIM_CACHE_HH
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -98,18 +97,18 @@ class Cache
     /**
      * Access one address.  Allocates on miss; evicts LRU.
      *
-     * Each set keeps its valid lines compacted at the lowest ways
-     * (ways [0, validCount_[set])), so scans never step over invalid
-     * lines -- the common case in the sparsely filled 16-way L2.  A
-     * hit or fill moves its line to way 0, so temporally local
-     * streams match on the first compare, and an MRU way hint skips
-     * the scan entirely for same-block runs.  None of this is
-     * observable: replacement is decided by per-line timestamps
-     * (unique, so way order never matters for LRU), and the choice
-     * among invalid ways carries no content.  Hit/miss/writeback
-     * counters and victim addresses are exactly those of a plain
-     * linear hit-then-victim scan per set -- asserted against such a
-     * reference model in tests/test_cache.cc.
+     * Each set keeps its valid lines at its lowest ways (ways
+     * [0, validCount_[set])) in exact recency order: way 0 holds the
+     * most recently used line and the last valid way the least.  A
+     * hit rotates its line to way 0, a fill inserts at way 0, and a
+     * full set's victim is its last way -- so the order alone is the
+     * LRU state, with no timestamps.  The lookup checks way 0 first
+     * (temporally local streams and same-block runs match there),
+     * then scans the remaining valid ways, never the invalid ones
+     * that fill most of the 16-way L2 at bench sizes.  Counters
+     * and victim addresses are exactly those of a plain linear
+     * hit-then-victim scan per set -- asserted per access against
+     * such a reference model in tests/test_cache.cc.
      *
      * @param addr   byte address
      * @param write  true for a store
@@ -118,65 +117,43 @@ class Cache
     access(Addr addr, bool write)
     {
         const std::uint64_t block = blockOf(addr);
-        if (mru_ && mruBlock_ == block) {
-            ++clock_;
-            mru_->lastUse = clock_;
-            mru_->dirty = mru_->dirty || write;
-            ++hits_;
-            return {true, false, false, 0, 0};
-        }
         const std::uint64_t set = setOf(block);
         const unsigned assoc = config_.associativity;
         Line *base = &lines_[set * assoc];
         std::uint16_t &vcount = validCount_[set];
-        ++clock_;
 
-        // One fused scan over the valid lines: find the block and, in
-        // case it is absent, the LRU victim (oldest timestamp).
-        unsigned victim = 0;
-        std::uint64_t oldest = ~0ULL;
-        for (unsigned way = 0; way < vcount; ++way) {
-            Line &line = base[way];
-            if (line.tag == block) {
-                if (way != 0)
-                    std::swap(base[0], line);
-                Line &front = base[0];
-                front.lastUse = clock_;
-                front.dirty = front.dirty || write;
+        if (vcount != 0 && base[0].tag == block) {
+            base[0].dirty = base[0].dirty || write;
+            ++hits_;
+            return {true, false, false, 0, 0};
+        }
+        for (unsigned way = 1; way < vcount; ++way) {
+            if (base[way].tag == block) {
+                Line line = base[way];
+                line.dirty = line.dirty || write;
+                shiftUp(base, way);
+                base[0] = line;
                 ++hits_;
-                mru_ = &front;
-                mruBlock_ = block;
                 return {true, false, false, 0, 0};
-            }
-            if (line.lastUse < oldest) {
-                oldest = line.lastUse;
-                victim = way;
             }
         }
         ++misses_;
 
         CacheResult result;
         if (vcount < assoc) {
-            // Fill the first invalid way.
-            victim = vcount++;
+            ++vcount;
         } else {
-            Line &line = base[victim];
+            const Line &victim = base[assoc - 1];
             result.evicted = true;
-            result.evictedAddr = line.tag << blockBits_;
-            if (line.dirty) {
+            result.evictedAddr = victim.tag << blockBits_;
+            if (victim.dirty) {
                 result.writeback = true;
                 result.writebackAddr = result.evictedAddr;
                 ++writebacks_;
             }
         }
-        Line &line = base[victim];
-        line.dirty = write;
-        line.tag = block;
-        line.lastUse = clock_;
-        if (victim != 0)
-            std::swap(base[0], line);
-        mru_ = &base[0];
-        mruBlock_ = block;
+        shiftUp(base, vcount - 1u);
+        base[0] = {block, write};
         return result;
     }
 
@@ -188,16 +165,13 @@ class Cache
         Line *base = &lines_[setOf(block) * config_.associativity];
         std::uint16_t &vcount = validCount_[setOf(block)];
         for (unsigned way = 0; way < vcount; ++way) {
-            Line &line = base[way];
-            if (line.tag == block) {
-                // Keep the set compacted: the last valid line moves
-                // into the vacated way.
-                const bool was_dirty = line.dirty;
+            if (base[way].tag == block) {
+                // Close the gap: the less recently used lines shift
+                // one way toward way 0, keeping the recency order.
+                const bool was_dirty = base[way].dirty;
                 --vcount;
-                if (way != vcount)
-                    std::swap(line, base[vcount]);
-                if (mru_ >= base && mru_ < base + config_.associativity)
-                    mru_ = nullptr;
+                for (unsigned w = way; w < vcount; ++w)
+                    base[w] = base[w + 1];
                 return was_dirty;
             }
         }
@@ -225,8 +199,7 @@ class Cache
         for (auto &line : lines_)
             line = Line();
         validCount_.assign(numSets_, 0);
-        mru_ = nullptr;
-        clock_ = hits_ = misses_ = writebacks_ = 0;
+        hits_ = misses_ = writebacks_ = 0;
     }
 
     std::uint64_t hits() const { return hits_; }
@@ -245,24 +218,27 @@ class Cache
     struct Line
     {
         std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
         bool dirty = false;
     };
+
+    /** Move ways [0, way) to [1, way], freeing way 0. */
+    static void
+    shiftUp(Line *base, unsigned way)
+    {
+        for (unsigned w = way; w > 0; --w)
+            base[w] = base[w - 1];
+    }
 
     CacheConfig config_;
     std::uint64_t numSets_ = 0;
     std::uint64_t setMask_ = 0;
     unsigned blockBits_ = 0;
-    std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t writebacks_ = 0;
-    /** Line of the most recent hit/fill (null = no valid hint). */
-    Line *mru_ = nullptr;
-    std::uint64_t mruBlock_ = 0;
     std::vector<Line> lines_;
-    /** Per-set count of valid lines, kept compacted at the set's
-     *  lowest ways. */
+    /** Per-set count of valid lines, kept at the set's lowest ways in
+     *  recency order. */
     std::vector<std::uint16_t> validCount_;
 };
 

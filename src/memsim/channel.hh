@@ -9,7 +9,6 @@
 #define RIME_MEMSIM_CHANNEL_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "common/stats.hh"
@@ -20,10 +19,16 @@
 namespace rime::memsim
 {
 
-/** Per-rank bookkeeping for the rolling four-activate tFAW window. */
+/**
+ * Per-rank bookkeeping for the rolling four-activate tFAW window: a
+ * ring of the last four ACTs' tFAW deadlines (ACT tick + tFAW), oldest
+ * at `oldest`.  A slot no ACT has filled yet holds 0, which never
+ * delays an ACT, so the first four are bound only by tRRD.
+ */
 struct RankState
 {
-    std::deque<Tick> recentActs; // at most 4 entries
+    std::array<Tick, 4> fawReady{};
+    unsigned oldest = 0;
     Tick lastAct = 0;
 };
 
@@ -39,12 +44,19 @@ class Channel
 {
   public:
     Channel(const DramParams &params, StatGroup *stats)
-        : params_(params), stats_(stats),
+        : params_(params),
           ranks_(params.ranksPerChannel,
-                 std::vector<Bank>(params.banksPerRank))
-    {
-        rankState_.resize(params.ranksPerChannel);
-    }
+                 std::vector<Bank>(params.banksPerRank)),
+          rankState_(params.ranksPerChannel),
+          rowHits_(stats->counter("rowHits")),
+          rowConflicts_(stats->counter("rowConflicts")),
+          rowMisses_(stats->counter("rowMisses")),
+          readBursts_(stats->counter("readBursts")),
+          bytesRead_(stats->counter("bytesRead")),
+          writeBursts_(stats->counter("writeBursts")),
+          bytesWritten_(stats->counter("bytesWritten")),
+          activates_(stats->counter("activates"))
+    {}
 
     /**
      * Serve one burst to the given coordinates.
@@ -62,15 +74,15 @@ class Channel
             bank.classify(static_cast<std::int64_t>(coord.row));
         switch (outcome) {
           case RowBufferOutcome::Hit:
-            stats_->inc("rowHits");
+            ++rowHits_;
             break;
           case RowBufferOutcome::Conflict:
-            stats_->inc("rowConflicts");
+            ++rowConflicts_;
             bank.precharge(params_, std::max(t, bank.preReady));
             [[fallthrough]];
           case RowBufferOutcome::Miss:
             if (outcome == RowBufferOutcome::Miss)
-                stats_->inc("rowMisses");
+                ++rowMisses_;
             activate(bank, rank, coord.row, t);
             break;
         }
@@ -85,9 +97,8 @@ class Channel
             bank.columnRead(params_, cas);
             busFree_ = cas + params_.tCAS + params_.burstTime();
             completion = busFree_;
-            stats_->inc("readBursts");
-            stats_->inc("bytesRead",
-                        static_cast<double>(params_.burstBytes));
+            ++readBursts_;
+            bytesRead_ += static_cast<double>(params_.burstBytes);
         } else {
             Tick cas = std::max(t, bank.writeReady);
             if (busFree_ > cas + params_.tCWD)
@@ -95,9 +106,8 @@ class Channel
             bank.columnWrite(params_, cas);
             busFree_ = cas + params_.tCWD + params_.burstTime();
             completion = busFree_;
-            stats_->inc("writeBursts");
-            stats_->inc("bytesWritten",
-                        static_cast<double>(params_.burstBytes));
+            ++writeBursts_;
+            bytesWritten_ += static_cast<double>(params_.burstBytes);
         }
         lastCompletion_ = std::max(lastCompletion_, completion);
         return completion;
@@ -124,27 +134,31 @@ class Channel
     {
         Tick act = std::max(t, bank.actReady);
         act = std::max(act, rank.lastAct + params_.tRRD);
-        while (rank.recentActs.size() >= 4) {
-            act = std::max(act, rank.recentActs.front() + params_.tFAW);
-            if (rank.recentActs.front() + params_.tFAW <= act)
-                rank.recentActs.pop_front();
-            else
-                break;
-        }
+        // At most four ACTs per tFAW: wait for the oldest of the last
+        // four, then this ACT takes its slot.
+        act = std::max(act, rank.fawReady[rank.oldest]);
+        rank.fawReady[rank.oldest] = act + params_.tFAW;
+        rank.oldest = (rank.oldest + 1) % rank.fawReady.size();
         bank.activate(params_, static_cast<std::int64_t>(row), act);
         rank.lastAct = act;
-        rank.recentActs.push_back(act);
-        if (rank.recentActs.size() > 4)
-            rank.recentActs.pop_front();
-        stats_->inc("activates");
+        ++activates_;
     }
 
     DramParams params_;
-    StatGroup *stats_;
     std::vector<std::vector<Bank>> ranks_;
     std::vector<RankState> rankState_;
     Tick busFree_ = 0;
     Tick lastCompletion_ = 0;
+    // Resolved once by the constructor; they stay valid across the
+    // group's reset().
+    StatCounter rowHits_;
+    StatCounter rowConflicts_;
+    StatCounter rowMisses_;
+    StatCounter readBursts_;
+    StatCounter bytesRead_;
+    StatCounter writeBursts_;
+    StatCounter bytesWritten_;
+    StatCounter activates_;
 };
 
 } // namespace rime::memsim

@@ -89,18 +89,22 @@ class UnlimitedMemory : public MemorySystem
     explicit UnlimitedMemory(Tick latency = nsToTicks(60),
                              std::uint64_t block_bytes = 64)
         : latency_(latency), blockBytes_(block_bytes),
-          stats_("unlimited")
+          stats_("unlimited"),
+          readBursts_(stats_.counter("readBursts")),
+          bytesRead_(stats_.counter("bytesRead")),
+          writeBursts_(stats_.counter("writeBursts")),
+          bytesWritten_(stats_.counter("bytesWritten"))
     {}
 
     Tick
     access(const MemRequest &req, Tick earliest) override
     {
         if (req.type == AccessType::Read) {
-            stats_.inc("readBursts");
-            stats_.inc("bytesRead", static_cast<double>(blockBytes_));
+            ++readBursts_;
+            bytesRead_ += static_cast<double>(blockBytes_);
         } else {
-            stats_.inc("writeBursts");
-            stats_.inc("bytesWritten", static_cast<double>(blockBytes_));
+            ++writeBursts_;
+            bytesWritten_ += static_cast<double>(blockBytes_);
         }
         return earliest + latency_;
     }
@@ -119,6 +123,10 @@ class UnlimitedMemory : public MemorySystem
     Tick latency_;
     std::uint64_t blockBytes_;
     StatGroup stats_;
+    StatCounter readBursts_;
+    StatCounter bytesRead_;
+    StatCounter writeBursts_;
+    StatCounter bytesWritten_;
 };
 
 } // namespace rime::memsim

@@ -11,7 +11,8 @@
  *
  * RimeChip implements these behaviours inline for speed; this
  * test-only class is the structural model used to validate them node
- * by node.
+ * by node, and the oracle its scans' winners are checked against
+ * (tests/test_htree.cc).
  */
 
 #ifndef RIME_TESTS_HTREE_HH

@@ -2,9 +2,12 @@
  * @file
  * Tests of the cache model: hit/miss behaviour, LRU replacement,
  * write-back victims, the multi-level hierarchy, and invalidation-
- * based sharing.  The simulator's optimised lookup, sharing directory
- * and batched delivery are checked against ReferenceHierarchy, a
- * test-local model of the plain semantics they must reproduce.
+ * based sharing.  The simulator's recency-ordered sets are checked
+ * against ReferenceCache (timestamped LRU, two linear scans per set)
+ * result by result, in every geometry the simulator runs; its sharing
+ * directory and batched delivery are checked against
+ * ReferenceHierarchy, a test-local model of the plain semantics they
+ * must reproduce.
  */
 
 #include <gtest/gtest.h>
@@ -266,6 +269,85 @@ counters(H &h)
     return out;
 }
 
+std::string
+describe(const CacheResult &r)
+{
+    return "hit " + std::to_string(r.hit) + " evicted " +
+        std::to_string(r.evicted) + "@" + std::to_string(r.evictedAddr) +
+        " writeback " + std::to_string(r.writeback) + "@" +
+        std::to_string(r.writebackAddr);
+}
+
+/**
+ * Replay a random trace through per-core caches and reference caches
+ * the way Hierarchy drives its L1s: a store first invalidates the
+ * other cores' copies in ascending core order.  Every CacheResult
+ * (hit, evicted and written-back addresses) and every invalidation's
+ * answer must match.  The footprint is three times the capacity, so
+ * sets run full; with several cores, invalidations then pull lines
+ * out of the middle of full sets.
+ *
+ * @return how many invalidations found the block resident
+ */
+std::uint64_t
+expectSameResults(const CacheConfig &config, unsigned cores,
+                  unsigned accesses, std::uint64_t seed)
+{
+    std::vector<Cache> fast;
+    std::vector<ReferenceCache> ref;
+    for (unsigned c = 0; c < cores; ++c) {
+        fast.emplace_back(config);
+        ref.emplace_back(config);
+    }
+    const std::uint64_t span_blocks =
+        3 * config.sizeBytes / config.blockBytes;
+    std::uint64_t resident_invalidations = 0;
+    Rng rng(seed);
+    for (unsigned i = 0; i < accesses; ++i) {
+        const unsigned core = static_cast<unsigned>(rng.below(cores));
+        const Addr addr = rng.below(span_blocks) * config.blockBytes +
+            rng.below(config.blockBytes);
+        const bool write = rng.below(3) == 0;
+        if (write) {
+            for (unsigned c = 0; c < cores; ++c) {
+                if (c == core)
+                    continue;
+                resident_invalidations += fast[c].contains(addr);
+                const bool dirty = ref[c].invalidate(addr);
+                if (fast[c].invalidate(addr) != dirty) {
+                    ADD_FAILURE() << "access " << i << ": core " << c
+                                  << " invalidate differs";
+                    return resident_invalidations;
+                }
+            }
+        }
+        const CacheResult want = ref[core].access(addr, write);
+        const CacheResult got = fast[core].access(addr, write);
+        if (describe(got) != describe(want)) {
+            ADD_FAILURE() << "access " << i << " core " << core
+                          << ": got " << describe(got) << ", want "
+                          << describe(want);
+            return resident_invalidations;
+        }
+    }
+    for (unsigned c = 0; c < cores; ++c) {
+        EXPECT_EQ(fast[c].hits(), ref[c].hits());
+        EXPECT_EQ(fast[c].misses(), ref[c].misses());
+        EXPECT_EQ(fast[c].writebacks(), ref[c].writebacks());
+        EXPECT_GT(ref[c].writebacks(), 0u);
+    }
+    return resident_invalidations;
+}
+
+/** The L2 share SortModel::profile gives each of 64 cores. */
+CacheConfig
+l2Share()
+{
+    CacheConfig l2 = CacheConfig::l2();
+    l2.sizeBytes /= 64;
+    return l2;
+}
+
 } // namespace
 
 TEST(Cache, HitAfterFill)
@@ -326,6 +408,28 @@ TEST(Cache, RejectsBadGeometry)
 {
     EXPECT_THROW(Cache({1000, 3, 64, 1}), FatalError);
     EXPECT_THROW(Cache({1024, 2, 63, 1}), FatalError);
+}
+
+TEST(Cache, EveryResultMatchesReferenceInSimulatedGeometries)
+{
+    // Direct-mapped (the Table-I L1I), the 4-way Table-I L1D and the
+    // 16-way L2 share: one core, then three with invalidations.
+    const std::pair<const char *, CacheConfig> geometries[] = {
+        {"direct-mapped", CacheConfig::l1i()},
+        {"l1d", CacheConfig::l1d()},
+        {"l2 share", l2Share()},
+    };
+    for (const auto &[name, config] : geometries) {
+        for (const unsigned cores : {1u, 3u}) {
+            SCOPED_TRACE(std::string(name) + ", cores " +
+                         std::to_string(cores));
+            const std::uint64_t invalidated =
+                expectSameResults(config, cores, 200000, 99 + cores);
+            if (cores > 1) {
+                EXPECT_GT(invalidated, 1000u);
+            }
+        }
+    }
 }
 
 TEST(Hierarchy, MissesReachMemoryOnce)
@@ -477,32 +581,42 @@ TEST(Hierarchy, DirtyVictimForwardedOnInvalidate)
 
 TEST(Hierarchy, FastMatchesSlowOnRandomTrace)
 {
-    // The directory + compacted-set + MRU-hint hierarchy must be
+    // The directory + recency-ordered-set hierarchy must be
     // observationally identical to the reference model: same per-core
     // cache counters, same below-cache traffic, same stat values --
-    // with the directory (3 cores) and without it (1 core).
-    const CacheConfig l1{512, 2, 64, 2};
-    const CacheConfig l2{2048, 4, 64, 15};
-    for (const unsigned cores : {1u, 3u}) {
-        SCOPED_TRACE(cores);
-        Hierarchy h(cores, l1, l2);
-        ReferenceHierarchy ref(cores, l1, l2);
-        Rng rng(1234);
-        // Small footprint so shared dirty blocks and evictions are
-        // common.
-        const std::uint64_t span = 64 * 64;
-        for (unsigned i = 0; i < 50000; ++i) {
-            const unsigned core =
-                static_cast<unsigned>(rng.below(cores));
-            const Addr addr = rng.below(span) & ~7ULL;
-            const AccessType type = rng.below(3) == 0
-                ? AccessType::Write
-                : AccessType::Read;
-            h.access(core, addr, type);
-            ref.access(core, addr, type);
+    // with the directory (3 cores) and without it (1 core).  Both a
+    // small geometry and the Table-I L1D in front of the 16-way L2
+    // share; each footprint is two to three times its L2, so shared
+    // dirty blocks and evictions are common.
+    const struct
+    {
+        CacheConfig l1;
+        CacheConfig l2;
+        std::uint64_t span;
+    } cases[] = {
+        {{512, 2, 64, 2}, {2048, 4, 64, 15}, 64 * 64},
+        {CacheConfig::l1d(), l2Share(), 3 * l2Share().sizeBytes},
+    };
+    for (const auto &[l1, l2, span] : cases) {
+        for (const unsigned cores : {1u, 3u}) {
+            SCOPED_TRACE(std::to_string(l2.sizeBytes) + " B L2, cores " +
+                         std::to_string(cores));
+            Hierarchy h(cores, l1, l2);
+            ReferenceHierarchy ref(cores, l1, l2);
+            Rng rng(1234);
+            for (unsigned i = 0; i < 50000; ++i) {
+                const unsigned core =
+                    static_cast<unsigned>(rng.below(cores));
+                const Addr addr = rng.below(span) & ~7ULL;
+                const AccessType type = rng.below(3) == 0
+                    ? AccessType::Write
+                    : AccessType::Read;
+                h.access(core, addr, type);
+                ref.access(core, addr, type);
+            }
+            EXPECT_GT(ref.memWrites(), 0u);
+            EXPECT_EQ(counters(h), counters(ref));
         }
-        EXPECT_GT(ref.memWrites(), 0u);
-        EXPECT_EQ(counters(h), counters(ref));
     }
 }
 

@@ -1,13 +1,19 @@
 /**
  * @file
  * Tests of the data/index H-tree model: priority-encoded index
- * reduction (Figure 10) and select-vector range routing (Figure 11).
+ * reduction (Figure 10) and select-vector range routing (Figure 11),
+ * and the model as the oracle of the bit-level chip's inline winner
+ * selection on multi-unit scans.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/key_codec.hh"
 #include "common/rng.hh"
 #include "htree.hh"
+#include "rimehw/chip.hh"
 
 using namespace rime;
 using namespace rime::rimehw;
@@ -108,4 +114,86 @@ TEST(IndexTree, RangeRoutingFullAndEmpty)
 TEST(IndexTree, RejectsNonPowerOfTwo)
 {
     EXPECT_THROW(IndexTree(12), FatalError);
+}
+
+TEST(IndexTree, OracleForChipWinnerOnMultiUnitScans)
+{
+    // RimeChip priority-encodes each scan's winner inline (lowest
+    // unit, then lowest row).  Here the tree recomputes it: the scan's
+    // range is routed to the units (leaves) with routeRange, each
+    // selected unit offers its first non-excluded row holding the
+    // extreme key, and reduce() must name the chip's winner.  Keys
+    // come from four values, so every extreme ties across many units
+    // and the priority decides; ranges start and end mid-unit, and
+    // min and max scans interleave over the same exclusion latches.
+    RimeGeometry g;
+    g.chipsPerChannel = 1;
+    g.banksPerChip = 2;
+    g.subbanksPerBank = 4;
+    g.arraysPerMat = 2;
+    g.arrayRows = 8;
+    g.arrayCols = 64;
+    const unsigned k = 8;
+    const unsigned rows = g.arrayRows;
+    const std::uint64_t pool[] = {0x00, 0x01, 0x7F, 0x80};
+    for (const KeyMode mode : {KeyMode::UnsignedFixed,
+                               KeyMode::SignedFixed}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        RimeChip chip(g);
+        chip.configure(k, mode);
+        const std::uint64_t capacity = chip.valueCapacity();
+        const std::uint64_t units = capacity / rows;
+        ASSERT_GT(units, 8u);
+        const IndexTree tree(static_cast<unsigned>(units));
+        Rng rng(5 + static_cast<int>(mode));
+        std::vector<std::uint64_t> keys(capacity);
+        for (std::uint64_t i = 0; i < capacity; ++i) {
+            const std::uint64_t raw = pool[rng.below(4)];
+            chip.writeValue(i, raw);
+            keys[i] = encodeKey(raw, k, mode);
+        }
+        for (int trial = 0; trial < 6; ++trial) {
+            const std::uint64_t begin = rng.below(capacity / 4);
+            const std::uint64_t end =
+                capacity - rng.below(capacity / 4);
+            chip.initRange(begin, end);
+            std::vector<bool> excluded(capacity, false);
+            const auto routed = tree.routeRange(begin, end, rows);
+            for (std::uint64_t n = 0; n <= end - begin; ++n) {
+                const bool find_max = rng.below(2) == 0;
+                bool any = false;
+                std::uint64_t best = 0;
+                for (std::uint64_t i = begin; i < end; ++i) {
+                    if (excluded[i])
+                        continue;
+                    if (!any || (find_max ? keys[i] > best
+                                          : keys[i] < best))
+                        best = keys[i];
+                    any = true;
+                }
+                std::vector<TreeSignal> leaves(units);
+                for (std::uint64_t u = 0; u < units; ++u) {
+                    if (!routed[u].selected)
+                        continue;
+                    for (unsigned row = routed[u].begin;
+                         row < routed[u].end; ++row) {
+                        const std::uint64_t i = u * rows + row;
+                        if (!excluded[i] && keys[i] == best) {
+                            leaves[u] = {true, row};
+                            break;
+                        }
+                    }
+                }
+                const TreeSignal root =
+                    tree.reduce(leaves, floorLog2(rows));
+                const ExtractResult r = chip.scan(begin, end, find_max);
+                ASSERT_EQ(r.found, root.exists) << "extraction " << n;
+                if (!r.found)
+                    break;
+                ASSERT_EQ(r.index, root.index) << "extraction " << n;
+                chip.exclude(begin, end, r.index);
+                excluded[r.index] = true;
+            }
+        }
+    }
 }

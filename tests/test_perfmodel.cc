@@ -148,3 +148,105 @@ TEST(BaselinePerf, ThroughputDropsWithDataSize)
         SystemKind::OffChipDdr4);
     EXPECT_GT(small, large);
 }
+
+namespace
+{
+
+/** One pinned memory-probe case at 64 streams. */
+struct ProbePin
+{
+    SystemKind system;
+    memsim::AccessPattern pattern;
+    double sustainedGBps;
+    double loadedLatencyNs;
+    double rowHitRate;
+    double avgLatencyNs;
+};
+
+/**
+ * Raw probe results of the Fig. 15/19 pricing, recorded before the
+ * memsim counters became cached handles and the tFAW window a ring.
+ * Every value is a deterministic function of the command-level
+ * timing, so any change to a completion tick or a counter moves one.
+ */
+constexpr ProbePin kProbePins[] = {
+    {SystemKind::OffChipDdr4, memsim::AccessPattern::Sequential,
+     63.894414480071681, 67.384500000000003, 0.96799999999999997,
+     100140.649},
+    {SystemKind::OffChipDdr4, memsim::AccessPattern::Random,
+     21.871312953712273, 67.384500000000003, 0.00023000000000000001,
+     291418.49021000002},
+    {SystemKind::OffChipDdr4, memsim::AccessPattern::StridedConflict,
+     0.47232610885334514, 67.384500000000003, 0.0, 13549990.3747875},
+    {SystemKind::InPackageHbm, memsim::AccessPattern::Sequential,
+     45.21282702031575, 65.932749999999999, 0.0, 141511.77632},
+    {SystemKind::InPackageHbm, memsim::AccessPattern::Random,
+     23.795581086231095, 65.932749999999999, 0.00027500000000000002,
+     265686.9400075},
+    {SystemKind::InPackageHbm, memsim::AccessPattern::StridedConflict,
+     0.47232613499693482, 65.932749999999999, 0.0, 13549988.8747875},
+};
+
+} // namespace
+
+TEST(GoldenPins, RawEnvironmentsAreBitIdentical)
+{
+    BaselinePerfModel model;
+    for (const ProbePin &pin : kProbePins) {
+        SCOPED_TRACE(static_cast<int>(pin.system) * 10 +
+                     static_cast<int>(pin.pattern));
+        const auto env = model.rawEnvironment(pin.system, pin.pattern,
+                                              64);
+        EXPECT_EQ(env.sustainedGBps, pin.sustainedGBps);
+        EXPECT_EQ(env.loadedLatencyNs, pin.loadedLatencyNs);
+    }
+}
+
+TEST(GoldenPins, ProbeRowHitRatesAreBitIdentical)
+{
+    // The probe BaselinePerfModel runs: 200 000 requests, 75% reads,
+    // 64 streams, default seed.
+    for (const ProbePin &pin : kProbePins) {
+        SCOPED_TRACE(static_cast<int>(pin.system) * 10 +
+                     static_cast<int>(pin.pattern));
+        memsim::DramSystem mem(pin.system == SystemKind::OffChipDdr4
+                                   ? memsim::DramParams::offChipDdr4()
+                                   : memsim::DramParams::inPackageHbm());
+        const auto probe =
+            memsim::probeBandwidth(mem, pin.pattern, 200000, 0.75, 64);
+        EXPECT_EQ(probe.rowHitRate, pin.rowHitRate);
+        EXPECT_EQ(probe.sustainedGBps, pin.sustainedGBps);
+        EXPECT_EQ(probe.avgLatencyNs, pin.avgLatencyNs);
+    }
+}
+
+TEST(GoldenPins, SortProfilesAreBitIdentical)
+{
+    // The profiles of the Fig. 15 baseline path at 1 Mi keys on 64
+    // cores, sampled at 4 Ki keys per partition, seed 7.
+    struct ProfilePin
+    {
+        sort::Algorithm algo;
+        double memReads;
+        double memWrites;
+        double instructions;
+    };
+    const ProfilePin pins[] = {
+        {sort::Algorithm::Mergesort, 524288, 393216, 133086208},
+        {sort::Algorithm::Quicksort, 314572.79999999999, 65536,
+         88240640},
+        {sort::Algorithm::Radixsort, 3276800, 3145728, 18874368},
+        {sort::Algorithm::Heapsort, 131072, 65536, 162109952},
+    };
+    sort::SortModel::Config cfg;
+    cfg.sampleCap = 4096;
+    cfg.seed = 7;
+    const sort::SortModel sorts(cfg);
+    for (const ProfilePin &pin : pins) {
+        SCOPED_TRACE(sort::algorithmName(pin.algo));
+        const auto p = sorts.profile(pin.algo, 1ULL << 20, 64);
+        EXPECT_EQ(p.memReads, pin.memReads);
+        EXPECT_EQ(p.memWrites, pin.memWrites);
+        EXPECT_EQ(p.instructions, pin.instructions);
+    }
+}
