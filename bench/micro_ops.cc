@@ -6,7 +6,8 @@
  * two baseline-path simulators whole (one DRAM bandwidth probe, the
  * four sort profiles of one Fig. 15 pricing pass), the three host
  * layers of a 16 Ki-value StoreArray (wire encode, wire decode,
- * FastRime bulk load), and the CRC-32 under every wire
+ * FastRime bulk load), the bit-level bulk store of 1 Mi keys, and
+ * the CRC-32 under every wire
  * frame and journal record (dispatched kernel and table reference).
  * These measure *simulator* (host) performance, useful for keeping
  * the models fast enough for paper-scale sweeps.
@@ -17,8 +18,10 @@
  * A/B), then serial vs parallel (RIME_THREADS / hardware width)
  * under the env-dispatched kernels.  Every variant must produce a
  * bit-identical extraction or the bench aborts; the measurements go
- * to the machine-readable BENCH_scan.json next to the binary.
- * RIME_BENCH_KEYS overrides the key count.
+ * to the machine-readable BENCH_scan.json next to the binary, with
+ * the median host time of storing the same key count into a fresh
+ * bit-level library (bitlevel_store_ms).  RIME_BENCH_KEYS overrides
+ * the key count.
  */
 
 #include <benchmark/benchmark.h>
@@ -305,6 +308,65 @@ BM_FastModelStoreArray(benchmark::State &state)
 }
 BENCHMARK(BM_FastModelStoreArray);
 
+/**
+ * A Table-I library on the bit-level chips, one channel: the shape
+ * perfbench's scan_bitlevel loads.
+ */
+LibraryConfig
+bitLevelLibraryConfig()
+{
+    LibraryConfig cfg;
+    cfg.device.channels = 1;
+    cfg.device.bitLevel = true;
+    cfg.driver.startupPages = 1 << 16;
+    cfg.driver.growthPages = 1 << 16;
+    cfg.autoPublishStats = false;
+    return cfg;
+}
+
+/** `n` seeded random 32-bit keys. */
+std::vector<std::uint64_t>
+randomKeys(std::uint64_t n)
+{
+    Rng rng(11);
+    std::vector<std::uint64_t> keys(n);
+    for (auto &v : keys)
+        v = rng() & 0xFFFFFFFF;
+    return keys;
+}
+
+/**
+ * Host milliseconds of one storeArray of `keys` into a fresh
+ * bit-level library (the bulk bit-plane store; construction and
+ * allocation untimed).
+ */
+double
+timeBitLevelStore(const std::vector<std::uint64_t> &keys)
+{
+    RimeLibrary lib(bitLevelLibraryConfig());
+    const auto start = lib.rimeMalloc(keys.size() * 4);
+    if (!start)
+        fatal("bit-level rimeMalloc failed");
+    lib.rimeInit(*start, *start, KeyMode::UnsignedFixed, 32);
+    const auto t0 = std::chrono::steady_clock::now();
+    lib.storeArray(*start, keys);
+    return std::chrono::duration<double, std::milli>(
+        std::chrono::steady_clock::now() - t0).count();
+}
+
+/** 1 Mi keys into a fresh bit-level library per iteration. */
+void
+BM_BitLevelStore(benchmark::State &state)
+{
+    const auto keys = randomKeys(1 << 20);
+    for (auto _ : state)
+        state.SetIterationTime(timeBitLevelStore(keys) / 1e3);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_BitLevelStore)->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
 /** `n` seeded random bytes: the CRC-32 benchmarks' input. */
 std::vector<std::uint8_t>
 crcInput(std::int64_t n)
@@ -429,6 +491,14 @@ runScanSelfTiming()
     }
     chip.setHostThreads(0);
     const unsigned auto_shards = chip.shardCount();
+
+    // The bulk store of the same key count, median of five fresh
+    // libraries.
+    const auto store_keys = randomKeys(keys);
+    std::vector<double> store_ms;
+    for (int i = 0; i < 5; ++i)
+        store_ms.push_back(timeBitLevelStore(store_keys));
+    const double bitlevel_store_ms = bench::percentile(store_ms, 0.5);
     kernels::setMode(env_mode);
     if (!same(scalar.r, simd.r))
         fatal("SIMD scan diverged from the scalar reference scan");
@@ -458,13 +528,13 @@ runScanSelfTiming()
                 "%.3f ms serial vs "
                 "%.3f ms at %u threads (%.2fx); %.3f ms at the "
                 "default width (%u shards); simulated %.1f "
-                "ns/scan\n",
+                "ns/scan; bit-level store %.2f ms\n",
                 static_cast<unsigned long long>(keys), k, scalar.ms,
                 simd.ms, kernels::availableIsaName(), simd_speedup,
                 simd_speedup_iqr,
                 serial_ms, parallel.ms, parallel_threads,
                 serial_ms / parallel.ms, automatic.ms, auto_shards,
-                simulated_ns);
+                simulated_ns, bitlevel_store_ms);
 
     bench::BenchJson json("scan");
     json.field("keys", keys)
@@ -486,6 +556,7 @@ runScanSelfTiming()
         .field("auto_host_ms_per_scan", automatic.ms)
         .field("auto_shards", auto_shards)
         .field("simulated_ns_per_scan", simulated_ns)
+        .field("bitlevel_store_ms", bitlevel_store_ms)
         .write("BENCH_scan.json");
 
     // Deterministic chip-stat dump: identical scan work for any

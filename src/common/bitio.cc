@@ -1,5 +1,6 @@
 #include "bitio.hh"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -406,7 +407,11 @@ void
 appendFrame(std::vector<std::uint8_t> &out,
             const std::vector<std::uint8_t> &payload)
 {
-    out.reserve(out.size() + 8 + payload.size());
+    // Grow geometrically: an exact reserve would reallocate (and copy)
+    // a shared buffer on every frame appended to it.
+    const std::size_t need = out.size() + 8 + payload.size();
+    if (need > out.capacity())
+        out.reserve(std::max(need, 2 * out.capacity()));
     putLE32(out, static_cast<std::uint32_t>(payload.size()));
     putLE32(out, crc32(payload.data(), payload.size()));
     out.insert(out.end(), payload.begin(), payload.end());

@@ -172,7 +172,8 @@ class BitReader
 
 /**
  * Append one framed record ([len][crc][payload]) to `out`.
- * The payload is the writer's byte buffer.
+ * The payload is the writer's byte buffer.  `out` grows
+ * geometrically, so appending N frames reallocates O(log N) times.
  */
 void appendFrame(std::vector<std::uint8_t> &out,
                  const std::vector<std::uint8_t> &payload);

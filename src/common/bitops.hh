@@ -95,6 +95,47 @@ commonPrefixLength(std::uint64_t a, std::uint64_t b, unsigned k)
     return k - 1 - highest;
 }
 
+namespace detail
+{
+
+/**
+ * One transpose64 round: in every 2J-row block, swap the high J
+ * columns of the top J rows with the low J columns of the bottom J
+ * rows (`m` selects each row's low J columns of every 2J group).
+ */
+template <unsigned J>
+constexpr void
+transposeRound(std::uint64_t a[64], std::uint64_t m)
+{
+    for (unsigned base = 0; base < 64; base += 2 * J) {
+        for (unsigned k = base; k < base + J; ++k) {
+            const std::uint64_t t = ((a[k] >> J) ^ a[k + J]) & m;
+            a[k] ^= t << J;
+            a[k + J] ^= t;
+        }
+    }
+}
+
+} // namespace detail
+
+/**
+ * In-place transpose of a 64x64 bit matrix held as 64 row words: on
+ * return bit j of a[i] is bit i of the old a[j].  Six rounds of 32
+ * masked word swaps, from 32x32 blocks down to single bits; turns 64
+ * stored values into their 64 bit planes, the shape of a
+ * column-major array.
+ */
+constexpr void
+transpose64(std::uint64_t a[64])
+{
+    detail::transposeRound<32>(a, 0x00000000FFFFFFFFULL);
+    detail::transposeRound<16>(a, 0x0000FFFF0000FFFFULL);
+    detail::transposeRound<8>(a, 0x00FF00FF00FF00FFULL);
+    detail::transposeRound<4>(a, 0x0F0F0F0F0F0F0F0FULL);
+    detail::transposeRound<2>(a, 0x3333333333333333ULL);
+    detail::transposeRound<1>(a, 0x5555555555555555ULL);
+}
+
 } // namespace rime
 
 #endif // RIME_COMMON_BITOPS_HH

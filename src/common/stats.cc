@@ -1,7 +1,9 @@
 #include "stats.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iomanip>
 
 namespace rime
@@ -18,7 +20,63 @@ endsWith(const std::string &s, const std::string &suffix)
                   suffix) == 0;
 }
 
+/** Exponent of the lowest set bit of a finite nonzero double. */
+int
+lowBitExponent(double x)
+{
+    const auto b = std::bit_cast<std::uint64_t>(x);
+    const int biased = static_cast<int>((b >> 52) & 0x7FF);
+    std::uint64_t frac = b & ((1ULL << 52) - 1);
+    if (biased != 0)
+        frac |= 1ULL << 52;
+    return std::max(biased, 1) - 1075 + std::countr_zero(frac);
+}
+
+/**
+ * True when v + i * delta is representable for every i <= times:
+ * each add of the loop is then exact, and so is v + times * delta.
+ */
+bool
+repeatedSumIsExact(double v, double delta, std::uint64_t times)
+{
+    if (!std::isfinite(v) || !std::isfinite(delta))
+        return false;
+    if (delta == 0.0)
+        return true;
+    // On the grid of 2^lsb, sums below 2^(53 + lsb) are representable,
+    // and finite while 53 + lsb <= 1024.
+    int lsb = lowBitExponent(delta);
+    if (v != 0.0)
+        lsb = std::min(lsb, lowBitExponent(v));
+    if (lsb > 1024 - 53)
+        return false;
+    constexpr std::uint64_t kLimit = 1ULL << 53;
+    const double a = std::ldexp(std::fabs(v), -lsb);
+    const double d = std::ldexp(std::fabs(delta), -lsb);
+    if (!(a < static_cast<double>(kLimit)) ||
+        !(d < static_cast<double>(kLimit)))
+        return false;
+    const auto ai = static_cast<std::uint64_t>(a);
+    const auto di = static_cast<std::uint64_t>(d);
+    return times <= (kLimit - 1 - ai) / di;
+}
+
 } // namespace
+
+void
+StatCounter::incRepeated(double delta, std::uint64_t times)
+{
+    if (times == 0)
+        return;
+    double v = *value_;
+    if (repeatedSumIsExact(v, delta, times)) {
+        *value_ = v + static_cast<double>(times) * delta;
+        return;
+    }
+    for (std::uint64_t i = 0; i < times; ++i)
+        v += delta;
+    *value_ = v;
+}
 
 bool
 isWallClockStat(const std::string &stat)

@@ -102,18 +102,13 @@ class StatCounter
     void inc(double delta = 1.0) { *value_ += delta; }
 
     /**
-     * `times` calls of inc(delta), bit for bit, summed in a register:
-     * a bulk store's per-write energy adds then skip a memory round
-     * trip each (FastRime bulk load of 16 Ki values ~2x faster).
+     * `times` calls of inc(delta), bit for bit: a bulk store's
+     * per-write energy.  When the value and delta are multiples of
+     * 2^-q and |value| + times * |delta| < 2^(53-q), every partial
+     * sum is representable, so one multiply-add equals the loop;
+     * otherwise the adds run in a register loop.
      */
-    void
-    incRepeated(double delta, std::uint64_t times)
-    {
-        double v = *value_;
-        for (std::uint64_t i = 0; i < times; ++i)
-            v += delta;
-        *value_ = v;
-    }
+    void incRepeated(double delta, std::uint64_t times);
 
     StatCounter &
     operator++()

@@ -41,9 +41,13 @@ BaselinePerfModel::rawEnvironment(SystemKind system,
         env.sustainedGBps = probe.sustainedGBps;
         // Dependent-chain latency; the closed-loop probe's average
         // includes unbounded queueing and is not what a core's miss
-        // chain experiences.
-        env.loadedLatencyNs = std::max(
-            memsim::probeIdleLatencyNs(mem, 2000), 20.0);
+        // chain experiences.  Every probe starts from a reset system,
+        // so it depends on the system alone and runs once per system.
+        std::optional<double> &idle =
+            idleLatencyNs_[system == SystemKind::OffChipDdr4 ? 0 : 1];
+        if (!idle)
+            idle = memsim::probeIdleLatencyNs(mem, 2000);
+        env.loadedLatencyNs = std::max(*idle, 20.0);
     }
     cache_.emplace(key, env);
     return env;

@@ -12,6 +12,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <tuple>
 
 #include "common/system_kind.hh"
@@ -131,6 +132,8 @@ class BaselinePerfModel
     std::unique_ptr<memsim::DramSystem> hbm_;
     std::map<std::tuple<int, int, unsigned>,
              cpusim::MemoryEnvironment> cache_;
+    /** Idle (dependent-chain) latency of DDR4 and HBM, once probed. */
+    std::optional<double> idleLatencyNs_[2];
 };
 
 } // namespace rime::perfmodel

@@ -19,9 +19,12 @@
 #define RIME_RIMEHW_ARRAY_HH
 
 #include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "rimehw/bitvector.hh"
 #include "rimehw/faults.hh"
@@ -101,6 +104,45 @@ class RramArray
                     continue; // frozen at the current stored value
             }
             setCell(row, col, bit);
+        }
+    }
+
+    /**
+     * Bulk row write: `count` k-bit values into rows [row, row +
+     * count) with the MSB at column `col_begin`, the j-th read from
+     * src[j * stride]; leaves the cells a writeRowBits loop leaves.
+     * Each 64-row word of the run is gathered, turned into bit planes
+     * by one transpose64, and merged into the k column words under
+     * the run's row mask, so rows outside the run keep their bits.
+     * The caller keeps the run inside the array, and calls it only
+     * on a perfect array: stuck and worn-out cells need the per-row
+     * path.
+     */
+    void
+    writeRows(unsigned row, unsigned col_begin, unsigned k,
+              const std::uint64_t *src, unsigned count,
+              std::size_t stride)
+    {
+        assert(!faults_);
+        assert(col_begin + k <= cols_ && row + count <= rows_);
+        std::uint64_t planes[64];
+        while (count > 0) {
+            const unsigned lo = row & 63;
+            const unsigned n = std::min(64u - lo, count);
+            if (n < 64)
+                std::fill(planes, planes + 64, 0);
+            for (unsigned j = 0; j < n; ++j)
+                planes[lo + j] = src[j * stride];
+            transpose64(planes);
+            const std::uint64_t mask =
+                (n == 64 ? ~0ULL : (1ULL << n) - 1) << lo;
+            std::uint64_t *word =
+                &columns_[colBase(col_begin) + (row >> 6)];
+            for (unsigned i = 0; i < k; ++i, word += wordsPerCol_)
+                *word = (*word & ~mask) | (planes[k - 1 - i] & mask);
+            row += n;
+            count -= n;
+            src += n * stride;
         }
     }
 

@@ -302,12 +302,18 @@ RimeChip::writeVerified(std::uint64_t logical_unit, unsigned row,
     }
 }
 
+void
+RimeChip::checkIndices(std::uint64_t index, std::uint64_t count) const
+{
+    if (index >= valueCapacity() || count > valueCapacity() - index)
+        fatal("value index %llu beyond chip capacity",
+              static_cast<unsigned long long>(index + count - 1));
+}
+
 Tick
 RimeChip::writeValue(std::uint64_t index, std::uint64_t raw)
 {
-    if (index >= valueCapacity())
-        fatal("value index %llu beyond chip capacity",
-              static_cast<unsigned long long>(index));
+    checkIndices(index, 1);
     const std::uint64_t rows = rowsPerUnit();
     const std::uint64_t unit_id = index / rows;
     const unsigned row = static_cast<unsigned>(index % rows);
@@ -332,6 +338,32 @@ RimeChip::writeValue(std::uint64_t index, std::uint64_t raw)
         invalidateActiveUnits();
     }
     return timing_.tWrite;
+}
+
+void
+RimeChip::writeValues(std::uint64_t index, const std::uint64_t *src,
+                      std::uint64_t count, std::size_t stride)
+{
+    if (faults_) {
+        RankBackend::writeValues(index, src, count, stride);
+        return;
+    }
+    if (count == 0)
+        return;
+    checkIndices(index, count);
+    const std::uint64_t rows = rowsPerUnit();
+    for (std::uint64_t done = 0; done < count;) {
+        const std::uint64_t at = index + done;
+        const unsigned row = static_cast<unsigned>(at % rows);
+        const unsigned n = static_cast<unsigned>(
+            std::min<std::uint64_t>(rows - row, count - done));
+        unit(at / rows).writeValues(row, src + done * stride, n, stride);
+        done += n;
+    }
+    rowWrites_ += static_cast<double>(count);
+    energyPJ_.incRepeated(timing_.writeEnergy, count);
+    const std::uint64_t bytes = (k_ + 7) / 8;
+    endurance_.recordRun(index * bytes, bytes, count);
 }
 
 std::uint64_t
@@ -363,9 +395,7 @@ RimeChip::peekValue(std::uint64_t index)
 void
 RimeChip::pokeValue(std::uint64_t index, std::uint64_t raw)
 {
-    if (index >= valueCapacity())
-        fatal("value index %llu beyond chip capacity",
-              static_cast<unsigned long long>(index));
+    checkIndices(index, 1);
     const std::uint64_t rows = rowsPerUnit();
     const std::uint64_t unit_id = index / rows;
     const unsigned row = static_cast<unsigned>(index % rows);

@@ -100,6 +100,16 @@ class RimeChip : public RankBackend
     /** Store a raw k-bit value (a row write; wears the cells). */
     Tick writeValue(std::uint64_t index, std::uint64_t raw) override;
 
+    /**
+     * Bulk load.  Without a fault model each unit's part of the run
+     * is written a 64-row word at a time by bit-plane transposes
+     * (ArrayUnit::writeValues) and charged once: rowWrites, energy
+     * (StatCounter::incRepeated) and one endurance update per block.
+     * With one, every value takes writeValue's verified path.
+     */
+    void writeValues(std::uint64_t index, const std::uint64_t *src,
+                     std::uint64_t count, std::size_t stride) override;
+
     /** Read a stored value (a row read; no wear). */
     std::uint64_t readValue(std::uint64_t index) override;
 
@@ -156,6 +166,8 @@ class RimeChip : public RankBackend
     enum class UnitHealth : std::uint8_t { Degraded = 1, Retired,
                                            Dead };
 
+    /** Fatal unless values [index, index + count) fit the chip. */
+    void checkIndices(std::uint64_t index, std::uint64_t count) const;
     ArrayUnit &unit(std::uint64_t unit_id);
     /** Unit backing a logical unit id (follows retirement remaps). */
     ArrayUnit &logicalUnit(std::uint64_t logical_id);

@@ -24,6 +24,7 @@
 
 #include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 
@@ -64,6 +65,18 @@ class ArrayUnit
                std::uint64_t block_writes = 0)
     {
         writePhysical(physicalRow(row), raw, block_writes);
+    }
+
+    /**
+     * Store `count` raw words at logical rows [row, row + count), the
+     * j-th read from src[j * stride] (RramArray::writeRows).  Units
+     * without a fault model only: logical rows are then physical.
+     */
+    void
+    writeValues(unsigned row, const std::uint64_t *src, unsigned count,
+                std::size_t stride)
+    {
+        array_->writeRows(row, slot_ * k_, k_, src, count, stride);
     }
 
     /** Read back the raw word at the given logical row. */

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/bitio.hh"
+#include "common/bitops.hh"
 #include "common/rng.hh"
 #include "service/wire.hh"
 
@@ -415,6 +416,28 @@ TEST(BitIo, FrameRoundTrip)
         readFrame(stream.data(), stream.size(), offset, payload),
         FrameStatus::End);
     EXPECT_EQ(offset, stream.size());
+}
+
+TEST(BitIo, AppendFrameGrowsGeometrically)
+{
+    // N frames appended to one buffer: O(log N) reallocations, not N.
+    const std::vector<std::uint8_t> payload(100, 0x3C);
+    std::vector<std::uint8_t> out, expect;
+    const unsigned frames = 1000;
+    unsigned reallocs = 0;
+    for (unsigned i = 0; i < frames; ++i) {
+        const std::size_t cap = out.capacity();
+        appendFrame(out, payload);
+        reallocs += out.capacity() != cap;
+    }
+    EXPECT_LE(reallocs, 2 + floorLog2(frames)) << reallocs;
+    // Same bytes as frames appended one per fresh buffer.
+    for (unsigned i = 0; i < frames; ++i) {
+        std::vector<std::uint8_t> one;
+        appendFrame(one, payload);
+        expect.insert(expect.end(), one.begin(), one.end());
+    }
+    EXPECT_EQ(out, expect);
 }
 
 TEST(BitIo, TornTailIsTruncatedAtEveryCut)

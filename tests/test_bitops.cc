@@ -12,8 +12,10 @@
  * FaultModel::disturbWord.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -87,6 +89,42 @@ TEST(BitOps, CommonPrefixLength)
     EXPECT_EQ(commonPrefixLength(0b1010, 0b1000, 4), 2u);
     EXPECT_EQ(commonPrefixLength(~0ULL, ~0ULL ^ 1ULL, 64), 63u);
     EXPECT_EQ(commonPrefixLength(1ULL << 63, 0, 64), 0u);
+}
+
+TEST(BitOps, Transpose64MatchesPerBitOracle)
+{
+    std::mt19937_64 rng(64);
+    std::vector<std::vector<std::uint64_t>> inputs = {
+        std::vector<std::uint64_t>(64, 0),
+        std::vector<std::uint64_t>(64, ~0ULL),
+    };
+    // Single set bits at every corner and on the diagonal.
+    for (const auto &[r, c] : std::vector<std::pair<unsigned, unsigned>>{
+             {0, 0}, {0, 63}, {63, 0}, {63, 63}, {5, 40}, {40, 5}}) {
+        std::vector<std::uint64_t> m(64, 0);
+        m[r] = 1ULL << c;
+        inputs.push_back(m);
+    }
+    for (int i = 0; i < 200; ++i) {
+        std::vector<std::uint64_t> m(64);
+        for (auto &w : m)
+            w = rng();
+        inputs.push_back(m);
+    }
+    for (const auto &in : inputs) {
+        std::uint64_t a[64];
+        std::copy(in.begin(), in.end(), a);
+        transpose64(a);
+        for (unsigned i = 0; i < 64; ++i) {
+            std::uint64_t want = 0;
+            for (unsigned j = 0; j < 64; ++j)
+                want |= ((in[j] >> i) & 1ULL) << j;
+            ASSERT_EQ(a[i], want) << "row " << i;
+        }
+        // An involution: transposing again restores the input.
+        transpose64(a);
+        ASSERT_TRUE(std::equal(in.begin(), in.end(), a));
+    }
 }
 
 // ---------------------------------------------------------------------

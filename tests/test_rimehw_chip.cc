@@ -8,15 +8,22 @@
  *  - the chip agrees with the direct Algorithm-1 transcription
  *    (tests/reference.hh), including step counts;
  *  - multi-unit (multi-mat) exclusion never loses a value;
- *  - exclusion latches persist across scans and reset on initRange.
+ *  - exclusion latches persist across scans and reset on initRange;
+ *  - a bulk load (writeValues) leaves the cells, stats, energy and
+ *    wear of a writeValue loop, on perfect and faulty chips.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "rimehw/chip.hh"
 #include "reference.hh"
@@ -327,4 +334,204 @@ TEST(ChipTiming, StepsAndTimeAccounting)
     EXPECT_EQ(r.index, 1u);
     EXPECT_EQ(r.steps, 0u);
     EXPECT_EQ(r.time, chip.timing().tRead);
+}
+
+namespace
+{
+
+/**
+ * Two chips after the same stores, bit for bit: every stored value,
+ * every deterministic counter (energy included), the repair summary
+ * and the endurance tracker down to each block.
+ */
+void
+expectSameChipState(RimeChip &a, RimeChip &b)
+{
+    const std::uint64_t values = a.valueCapacity();
+    for (std::uint64_t i = 0; i < values; ++i)
+        ASSERT_EQ(a.peekValue(i), b.peekValue(i)) << "value " << i;
+    ASSERT_EQ(a.stats().values().size(), b.stats().values().size());
+    for (const auto &[name, v] : a.stats().values()) {
+        if (isHostDependentStat(name))
+            continue;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+                  std::bit_cast<std::uint64_t>(b.stats().get(name)))
+            << name << ": " << v << " vs " << b.stats().get(name);
+    }
+    const HealthCounts ha = a.healthCounts(), hb = b.healthCounts();
+    EXPECT_EQ(ha.degradedUnits, hb.degradedUnits);
+    EXPECT_EQ(ha.retiredUnits, hb.retiredUnits);
+    EXPECT_EQ(ha.deadUnits, hb.deadUnits);
+    EXPECT_EQ(ha.remappedRows, hb.remappedRows);
+    EXPECT_EQ(ha.lostValues, hb.lostValues);
+    const EnduranceTracker &ea = a.endurance(), &eb = b.endurance();
+    EXPECT_EQ(ea.totalWrites(), eb.totalWrites());
+    EXPECT_EQ(ea.maxBlockWrites(), eb.maxBlockWrites());
+    EXPECT_EQ(ea.touchedBlocks(), eb.touchedBlocks());
+    const std::uint64_t bytes = values * ((a.wordBits() + 7) / 8);
+    for (std::uint64_t off = 0; off < bytes; off += 512)
+        EXPECT_EQ(ea.blockWrites(off), eb.blockWrites(off))
+            << "block at byte " << off;
+}
+
+/** Extract [lo, hi) to exhaustion on both chips, result by result. */
+void
+expectSameExtractions(RimeChip &a, RimeChip &b, std::uint64_t lo,
+                      std::uint64_t hi, bool find_max)
+{
+    for (;;) {
+        const ExtractResult ra = a.extract(lo, hi, find_max);
+        const ExtractResult rb = b.extract(lo, hi, find_max);
+        ASSERT_EQ(ra.found, rb.found);
+        ASSERT_EQ(ra.status, rb.status);
+        if (!ra.found)
+            return;
+        ASSERT_EQ(ra.raw, rb.raw);
+        ASSERT_EQ(ra.index, rb.index);
+        ASSERT_EQ(ra.steps, rb.steps);
+        ASSERT_EQ(ra.time, rb.time);
+    }
+}
+
+/**
+ * Store `n` values at `start` on both chips, the i-th from
+ * src[i * stride]: one writeValues run on `bulk`, a writeValue loop
+ * on `loop`.
+ */
+void
+storeBoth(RimeChip &bulk, RimeChip &loop, std::uint64_t start,
+          const std::uint64_t *src, std::uint64_t n, std::size_t stride)
+{
+    bulk.writeValues(start, src, n, stride);
+    for (std::uint64_t i = 0; i < n; ++i)
+        loop.writeValue(start + i, src[i * stride]);
+}
+
+} // namespace
+
+TEST(RimeChip, BulkLoadMatchesWriteValueLoop)
+{
+    // A device interleaves values over its chips, so each chip reads
+    // its run at a stride of the chip count (RimeDevice::loadValues).
+    constexpr std::size_t kChips = 3;
+    // At least three slots per row over 2 x 2 subarrays, so runs
+    // cross unit and subarray boundaries; the column count also fits
+    // the 32-bit width the chip is built with.  512 rows fill whole
+    // 64-row words; 200 leave a partial last word.  An inexact binary
+    // fraction makes the energy sum depend on how it is accumulated.
+    for (const unsigned rows : {512u, 200u}) {
+        for (const unsigned k : {8u, 13u, 24u, 32u, 64u}) {
+            SCOPED_TRACE("rows " + std::to_string(rows) + " k " +
+                         std::to_string(k));
+            RimeGeometry g;
+            g.banksPerChip = 2;
+            g.subbanksPerBank = 2;
+            g.arrayRows = rows;
+            g.arrayCols = std::lcm(32u, k);
+            while (g.arrayCols / k < 3)
+                g.arrayCols *= 2;
+            RimeTimingParams t;
+            t.writeEnergy = 2600.1;
+            RimeChip bulk(g, t, 1), loop(g, t, 1);
+            bulk.configure(k, KeyMode::UnsignedFixed);
+            loop.configure(k, KeyMode::UnsignedFixed);
+            const std::uint64_t cap = bulk.valueCapacity();
+            const std::uint64_t array_values =
+                std::uint64_t(g.arrayCols / k) * rows;
+            ASSERT_EQ(cap, 4 * array_values);
+            // Unmasked 64-bit sources: the chips keep the low k bits.
+            Rng rng(700 + k + rows);
+            const auto source = [&](std::uint64_t n) {
+                std::vector<std::uint64_t> src(n * kChips);
+                for (auto &v : src)
+                    v = rng();
+                return src;
+            };
+
+            // The whole chip as one run, from a non-zero source phase.
+            const auto fill = source(cap);
+            storeBoth(bulk, loop, 0, fill.data() + 1, cap, kChips);
+            expectSameChipState(bulk, loop);
+            if (HasFatalFailure())
+                return;
+
+            // A built operation (one value extracted) and an
+            // initialized one, both overlapped by the overwrites.
+            const std::uint64_t built_lo = cap / 2, built_hi = cap;
+            const std::uint64_t idle_lo = rows / 3, idle_hi = rows + 9;
+            for (RimeChip *c : {&bulk, &loop}) {
+                c->initRange(built_lo, built_hi);
+                c->initRange(idle_lo, idle_hi);
+                ASSERT_TRUE(c->extract(built_lo, built_hi).found);
+            }
+
+            // Overwrites off the 64-row grid: inside one word, head
+            // and tail partial words, across two units and a subarray
+            // boundary, one row each side of a subarray boundary, and
+            // up to the end of the chip.  Neighbouring rows must keep
+            // their values.
+            const std::vector<std::pair<std::uint64_t, std::uint64_t>>
+                runs = {{5, 3}, {65, 126}, {rows - 37, 2 * rows + 75},
+                        {array_values - 1, 2}, {cap - 70, 70},
+                        {130, 1}};
+            for (const auto &[start, n] : runs) {
+                SCOPED_TRACE("run at " + std::to_string(start) +
+                             " of " + std::to_string(n));
+                const auto src = source(n);
+                storeBoth(bulk, loop, start, src.data() + 2, n, kChips);
+                expectSameChipState(bulk, loop);
+                if (HasFatalFailure())
+                    return;
+            }
+
+            // The scans that follow see the same cells.
+            expectSameExtractions(bulk, loop, built_lo, built_hi, false);
+            expectSameExtractions(bulk, loop, idle_lo, idle_hi, true);
+            expectSameChipState(bulk, loop);
+            if (HasFatalFailure())
+                return;
+
+            // A run past the end is refused before any cell changes.
+            EXPECT_THROW(bulk.writeValues(cap - 1, fill.data(), 2, 1),
+                         FatalError);
+            EXPECT_THROW(bulk.writeValues(cap, fill.data(), 1, 1),
+                         FatalError);
+            expectSameChipState(bulk, loop);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+
+    // A chip with a fault model writes every value verified, so the
+    // bulk run repairs (and counts) exactly what the loop does.
+    FaultParams f;
+    f.seed = 17;
+    f.stuckAt0Rate = 5e-4;
+    f.stuckAt1Rate = 5e-4;
+    RimeGeometry g;
+    g.banksPerChip = 2;
+    g.subbanksPerBank = 2;
+    RimeChip bulk(g, RimeTimingParams{}, 1, f);
+    RimeChip loop(g, RimeTimingParams{}, 1, f);
+    bulk.configure(32, KeyMode::UnsignedFixed);
+    loop.configure(32, KeyMode::UnsignedFixed);
+    const std::uint64_t cap = bulk.valueCapacity();
+    std::vector<std::uint64_t> src(cap * kChips);
+    Rng rng(99);
+    for (auto &v : src)
+        v = rng();
+    storeBoth(bulk, loop, 0, src.data(), cap, kChips);
+    // Write-verify caught stuck cells: the verified path ran.
+    EXPECT_GT(bulk.stats().get("faultWriteErrors"), 0.0);
+    expectSameChipState(bulk, loop);
+    if (HasFatalFailure())
+        return;
+    const std::uint64_t start = 300, n = 2000;
+    storeBoth(bulk, loop, start, src.data() + 1, n, kChips);
+    expectSameChipState(bulk, loop);
+    if (HasFatalFailure())
+        return;
+    bulk.initRange(0, cap);
+    loop.initRange(0, cap);
+    expectSameExtractions(bulk, loop, 0, cap, false);
 }

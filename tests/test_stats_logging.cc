@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -35,6 +40,97 @@ TEST(Stats, MergeAndReset)
     EXPECT_DOUBLE_EQ(a.get("misses"), 1.0);
     a.reset();
     EXPECT_DOUBLE_EQ(a.get("hits"), 0.0);
+}
+
+namespace
+{
+
+/** incRepeated's result against `times` plain adds, bit for bit. */
+void
+expectIncRepeatedMatchesLoop(double start, double delta,
+                             std::uint64_t times)
+{
+    StatGroup g("g");
+    g.set("x", start);
+    StatCounter c = g.counter("x");
+    c.incRepeated(delta, times);
+    double want = start;
+    for (std::uint64_t i = 0; i < times; ++i)
+        want += delta;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(c.value()),
+              std::bit_cast<std::uint64_t>(want))
+        << std::hexfloat << "start " << start << " delta " << delta
+        << " times " << times << ": got " << c.value() << " want "
+        << want;
+}
+
+} // namespace
+
+TEST(Stats, IncRepeatedMatchesLoop)
+{
+    constexpr double two53 = 9007199254740992.0; // 2^53
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double huge = std::ldexp(1.0, 1000);
+    struct Case
+    {
+        double start, delta;
+        std::uint64_t times;
+    };
+    const std::vector<Case> cases = {
+        {0.0, 0.0, 0}, {5.0, 1.0, 0}, {-0.0, 2.0, 0},
+        // Signed zeros.
+        {-0.0, 0.0, 3}, {-0.0, -0.0, 3}, {0.0, -0.0, 3},
+        // Exact integer and dyadic sums (the closed form).
+        {0.0, 2600.0, 16384}, {123.5, 2600.0, 4096},
+        {1603.125, 0.25, 1000}, {-1e6, 3.0, 700000},
+        // Inexact binary fractions: only the loop is bit-equal.
+        {0.0, 2600.1, 16384}, {1.0, 0.1, 10000}, {2600.1, 210.0, 999},
+        // Sums at the 2^53 boundary, below, at and past it.
+        {two53 - 10, 1.0, 9}, {two53 - 10, 1.0, 10},
+        {two53 - 10, 1.0, 11}, {two53 - 10, 1.0, 25},
+        {two53 - 2, 2.0, 1}, {two53, 1.0, 5}, {-two53 + 3, -1.0, 7},
+        {two53 / 2, two53 / 8, 4}, {two53 / 2, two53 / 8, 5},
+        // The grid at its limits: subnormals and values near 2^1024.
+        {0.0, tiny, 1000}, {tiny, tiny * 3, 77}, {1.0, tiny, 3},
+        {huge, huge, 3}, {huge, -huge, 2}, {-huge, huge * 0.5, 9},
+        {std::ldexp(1.0, 1023), std::ldexp(1.0, 1023), 1},
+        {std::ldexp(1.0, 1023), -std::ldexp(1.0, 1023), 2},
+        {std::ldexp(1.0, 971), std::ldexp(1.0, 971), 5},
+        {std::numeric_limits<double>::max(), -1.0, 4},
+        // Non-finite values.
+        {std::numeric_limits<double>::infinity(), 1.0, 3},
+        {1.0, std::numeric_limits<double>::infinity(), 3},
+        {1.0, -std::numeric_limits<double>::infinity(), 2},
+    };
+    for (const Case &c : cases)
+        expectIncRepeatedMatchesLoop(c.start, c.delta, c.times);
+
+    // Random dyadic and non-dyadic starts and deltas over wide
+    // exponent ranges.
+    Rng rng(2600);
+    for (int i = 0; i < 3000; ++i) {
+        const auto pick = [&]() {
+            const double mant = static_cast<double>(
+                rng.below(1ULL << (1 + rng.below(53))));
+            const int exp = static_cast<int>(rng.below(90)) - 45;
+            const double v = std::ldexp(mant, exp);
+            return rng.below(2) ? -v : v;
+        };
+        const double start = pick();
+        const double delta = rng.below(4) == 0
+            ? static_cast<double>(rng.below(5000)) / 10.0 : pick();
+        expectIncRepeatedMatchesLoop(start, delta, rng.below(5000));
+    }
+}
+
+TEST(Stats, IncRepeatedHugeCountIsClosedForm)
+{
+    // 2^40 adds would take minutes; exact sums take one multiply-add.
+    StatGroup g("g");
+    g.set("x", 7.0);
+    StatCounter c = g.counter("x");
+    c.incRepeated(2600.0, 1ULL << 40);
+    EXPECT_EQ(c.value(), 7.0 + 2600.0 * 1099511627776.0);
 }
 
 TEST(Stats, Dump)
